@@ -7,8 +7,11 @@ Two independent routes to the degree-d solution space:
   every solution is a polynomial in x*z + y^2 and z.
 * ``kernel_oracle`` knows nothing about that structure: it assembles the
   exact linear map taking the coefficient vector of a generic homogeneous
-  degree-d polynomial to the coefficient vector of its residual and
-  computes a kernel basis by fraction-free Gaussian elimination.
+  degree-d polynomial to the coefficient vector of its residual, as
+  sparse columns, splits it into the connected components of its
+  sparsity pattern, and computes a kernel basis of each block by
+  fraction-free Gaussian elimination.  Cost and memory grow with the
+  block sizes, not with the square of the number of monomials.
 
 ``verify_basis_against_oracle`` checks that the two spans agree.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .maps import pde_residual
 from .poly import Exponent, Poly, RING3, T1, T2, expand_bivariate
@@ -62,7 +65,7 @@ class KernelOracleResult:
 
     def polynomials(self) -> list[Poly]:
         return [
-            Poly(RING3, dict(zip(self.monomials, vector)))
+            Poly(RING3, {m: c for m, c in zip(self.monomials, vector) if c})
             for vector in self.kernel_basis
         ]
 
@@ -107,111 +110,134 @@ def degree_monomials(d: int) -> list[Exponent]:
     ]
 
 
-def _residual_matrix(d: int) -> tuple[list[Exponent], list[list[int]]]:
-    """Integer matrix of the residual map in the degree_monomials basis.
+def _residual_columns(monomials: list[Exponent]) -> list[dict[int, int]]:
+    """Sparse integer matrix of the residual map, one column per monomial.
 
-    Column j holds the residual of monomial j: x^a*y^b*z^c contributes
-    -2a to x^(a-1)*y^(b+1)*z^c and b to x^a*y^(b-1)*z^(c+1).
+    Column j maps row index to entry: x^a*y^b*z^c contributes -2a to
+    x^(a-1)*y^(b+1)*z^c and b to x^a*y^(b-1)*z^(c+1).
     """
-    monomials = degree_monomials(d)
     index = {m: i for i, m in enumerate(monomials)}
-    n = len(monomials)
-    rows = [[0] * n for _ in range(n)]
-    for j, (a, b, c) in enumerate(monomials):
+    columns = []
+    for a, b, c in monomials:
+        column = {}
         if a:
-            rows[index[(a - 1, b + 1, c)]][j] -= 2 * a
+            column[index[(a - 1, b + 1, c)]] = -2 * a
         if b:
-            rows[index[(a, b - 1, c + 1)]][j] += b
-    return monomials, rows
+            column[index[(a, b - 1, c + 1)]] = b
+        columns.append(column)
+    return columns
 
 
-def _strip_content(row: list[int]) -> list[int]:
-    g = 0
-    for v in row:
-        g = math.gcd(g, v)
-    return [v // g for v in row] if g > 1 else row
+def _blocks(columns: list[dict[int, int]]) -> list[list[int]]:
+    """Connected components of the sparsity pattern: two columns are in one
+    block when they share a row.  Each block lists its columns ascending."""
+    parent = list(range(len(columns)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first_in_row: dict[int, int] = {}
+    for j, column in enumerate(columns):
+        for row in column:
+            k = first_in_row.setdefault(row, j)
+            parent[find(j)] = find(k)
+    blocks: dict[int, list[int]] = {}
+    for j in range(len(columns)):
+        blocks.setdefault(find(j), []).append(j)
+    return list(blocks.values())
 
 
-def _row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form (in place); returns pivot columns.
+def _strip_content(row: dict[int, int]) -> dict[int, int]:
+    g = math.gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
-    Elimination uses integer cross-multiplication followed by content
-    stripping, so entries stay integral and small.
+
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Fraction-free echelon form of sparse integer rows (no zero
+    entries), keyed by pivot column.
+
+    Each row is reduced at its leading column against the pivot row found
+    there (integer cross-multiplication, then content stripping) until its
+    leading column is new.  The pivot columns are those not in the span of
+    the columns before them, as in column-by-column elimination.
     """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot_row = pivots.get(lead)
+            if pivot_row is None:
+                pivots[lead] = _strip_content(row)
+                break
+            p, v = pivot_row[lead], row[lead]
+            combined = {c: p * x for c, x in row.items()}
+            for c, x in pivot_row.items():
+                combined[c] = combined.get(c, 0) - v * x
+            row = _strip_content({c: x for c, x in combined.items() if x})
+    return pivots
+
+
+def _kernel_vector(free_col: int, pivots: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Integer kernel vector with 1 (up to scale) at ``free_col``, zero at
+    every other free column, by back-substitution through ``pivots``;
+    normalized to coprime entries with a positive leading entry."""
+    v = {free_col: 1}
+    for pc in sorted((pc for pc in pivots if pc < free_col), reverse=True):
+        row = pivots[pc]
+        s = sum(x * v[c] for c, x in row.items() if c in v)
+        if not s:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            val = rows[i][col]
-            if val:
-                rows[i] = _strip_content(
-                    [piv * a - val * b for a, b in zip(rows[i], rows[r])]
-                )
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    _, pivots = _row_echelon([list(row) for row in rows])
-    return len(pivots)
-
-
-def _normalize_vector(v: list[Fraction]) -> tuple[Fraction, ...]:
-    denom = math.lcm(*(x.denominator for x in v)) if v else 1
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for value in ints:
-        g = math.gcd(g, value)
-    if g:
-        ints = [value // g for value in ints]
-    lead = next((value for value in ints if value), 0)
-    if lead < 0:
-        ints = [-value for value in ints]
-    return tuple(Fraction(value) for value in ints)
-
-
-def _kernel_vectors(rows: list[list[int]]) -> list[tuple[Fraction, ...]]:
-    ncols = len(rows[0]) if rows else 0
-    echelon, pivots = _row_echelon([row[:] for row in rows])
-    pivot_set = set(pivots)
-    basis = []
-    for free_col in (c for c in range(ncols) if c not in pivot_set):
-        v = [Fraction(0)] * ncols
-        v[free_col] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum(
-                (Fraction(echelon[r][c]) * v[c] for c in range(pc + 1, ncols)),
-                Fraction(0),
-            )
-            v[pc] = -s / echelon[r][pc]
-        basis.append(_normalize_vector(v))
-    return basis
+        p = row[pc]
+        scale = abs(p) // math.gcd(s, p)
+        if scale != 1:
+            v = {c: x * scale for c, x in v.items()}
+            s *= scale
+        v[pc] = -s // p
+    g = math.gcd(*v.values())
+    if v[min(v)] < 0:
+        g = -g
+    return {c: x // g for c, x in v.items()}
 
 
 def kernel_oracle(d: int, max_degree: int = DEFAULT_DEGREE_BOUND) -> KernelOracleResult:
-    """Brute-force exact kernel of the residual map in degree d.
+    """Exact kernel of the residual map in degree d.
 
-    The system has (d+1)(d+2)/2 unknowns, so ``d`` is capped by
-    ``max_degree`` (default 12).
+    The residual map is built as sparse columns over the (d+1)(d+2)/2
+    monomials of degree d and split into blocks, the connected components
+    of its sparsity pattern.  Each block is eliminated fraction-free on
+    its own and its kernel vectors are found by back-substitution inside
+    the block, so cost and memory grow with the block sizes rather than
+    with the square of the number of monomials.  Kernel vectors are
+    listed by ascending free column.  ``d`` is capped by ``max_degree``
+    (default 12).
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     if d > max_degree:
         raise ValueError(f"degree {d} exceeds the kernel oracle bound {max_degree}")
-    monomials, rows = _residual_matrix(d)
-    vectors = _kernel_vectors(rows)
+    monomials = degree_monomials(d)
+    columns = _residual_columns(monomials)
+    sparse: list[tuple[int, dict[int, int]]] = []
+    for block in _blocks(columns):
+        rows: dict[int, dict[int, int]] = {}
+        for j in block:
+            for r, value in columns[j].items():
+                rows.setdefault(r, {})[j] = value
+        pivots = _echelon(rows.values())
+        sparse.extend(
+            (j, _kernel_vector(j, pivots)) for j in block if j not in pivots
+        )
+    sparse.sort(key=lambda item: item[0])
+    zero = Fraction(0)
+    vectors = []
+    for _, v in sparse:
+        dense = [zero] * len(monomials)
+        for c, x in v.items():
+            dense[c] = Fraction(x)
+        vectors.append(tuple(dense))
     return KernelOracleResult(
         degree=d,
         dimension=len(vectors),
@@ -220,20 +246,26 @@ def kernel_oracle(d: int, max_degree: int = DEFAULT_DEGREE_BOUND) -> KernelOracl
     )
 
 
-def _coefficient_row(p: Poly, monomials: Sequence[Exponent]) -> list[int]:
-    coeffs = [p.coefficient(m) for m in monomials]
-    denom = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    return [int(c * denom) for c in coeffs]
+def _integer_row(terms: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
+    """Sparse row of rational entries, scaled to integers."""
+    entries = dict(terms)
+    denom = math.lcm(*(x.denominator for x in entries.values()))
+    return {c: int(x * denom) for c, x in entries.items() if x}
+
+
+def _spans_agree(oracle: KernelOracleResult, basis: SolutionBasis) -> bool:
+    """True iff the closed-form basis and the oracle kernel span the same
+    subspace over Q (checked by exact rank computations)."""
+    index = {m: i for i, m in enumerate(oracle.monomials)}
+    a_rows = [_integer_row((index[m], c) for m, c in p.terms()) for p in basis.elements]
+    b_rows = [_integer_row((c, x) for c, x in enumerate(vec) if x) for vec in oracle.kernel_basis]
+    rank_a = len(_echelon(a_rows))
+    rank_b = len(_echelon(b_rows))
+    rank_ab = len(_echelon(a_rows + b_rows))
+    return rank_a == rank_b == rank_ab
 
 
 def verify_basis_against_oracle(d: int, max_degree: int = DEFAULT_DEGREE_BOUND) -> bool:
-    """True iff the closed-form basis and the oracle kernel span the same
-    subspace over Q (checked by exact rank computations)."""
-    oracle = kernel_oracle(d, max_degree)
-    basis = solution_basis(d)
-    a_rows = [_coefficient_row(p, oracle.monomials) for p in basis.elements]
-    b_rows = [[int(x) for x in vec] for vec in oracle.kernel_basis]
-    rank_a = _rank(a_rows)
-    rank_b = _rank(b_rows)
-    rank_ab = _rank(a_rows + b_rows)
-    return rank_a == rank_b == rank_ab
+    """True iff the closed-form basis and the oracle kernel in degree d
+    span the same subspace over Q (checked by exact rank computations)."""
+    return _spans_agree(kernel_oracle(d, max_degree), solution_basis(d))

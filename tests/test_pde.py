@@ -1,7 +1,12 @@
+import hashlib
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 
 from nagata import (
+    KernelOracleResult,
     Poly,
     RING3,
     T1,
@@ -10,6 +15,7 @@ from nagata import (
     Y,
     Z,
     check_homogeneous_split,
+    degree_monomials,
     expand_bivariate,
     invariant_monomials,
     kernel_oracle,
@@ -17,6 +23,7 @@ from nagata import (
     solution_basis,
     verify_basis_against_oracle,
 )
+from nagata.cli import run
 from _strategies import poly3s
 
 PHI = X * Z + Y ** 2
@@ -114,6 +121,84 @@ class TestKernelOracle:
     def test_dimension_law(self):
         for d in range(9):
             assert kernel_oracle(d).dimension == d // 2 + 1
+
+    def test_large_degree(self):
+        result = kernel_oracle(40, max_degree=40)
+        assert result.dimension == 21
+        assert all(pde_residual(p) == 0 for p in result.polynomials())
+
+
+def dense_kernel_oracle(d):
+    """Reference: eliminate the dense n x n residual matrix, column by column."""
+    monomials = degree_monomials(d)
+    index = {m: i for i, m in enumerate(monomials)}
+    n = len(monomials)
+    rows = [[0] * n for _ in range(n)]
+    for j, (a, b, c) in enumerate(monomials):
+        if a:
+            rows[index[(a - 1, b + 1, c)]][j] -= 2 * a
+        if b:
+            rows[index[(a, b - 1, c + 1)]][j] += b
+    pivots, r = [], 0
+    for col in range(n):
+        pivot_row = next((i for i in range(r, n) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        for i in range(r + 1, n):
+            if rows[i][col]:
+                rows[i] = [rows[r][col] * x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    vectors = []
+    for free_col in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free_col] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            v[pc] = Fraction(-sum(rows[r][c] * v[c] for c in range(pc + 1, n)), rows[r][pc])
+        ints = [int(x * math.lcm(*(y.denominator for y in v))) for x in v]
+        g = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+        vectors.append(tuple(Fraction(x // g) for x in ints))
+    return KernelOracleResult(d, len(vectors), tuple(monomials), tuple(vectors))
+
+
+class TestKernelOracleReference:
+    def test_equals_dense_elimination(self):
+        for d in range(13):
+            assert kernel_oracle(d) == dense_kernel_oracle(d)
+
+    # sha256 of `nagata oracle d --json` as printed by the dense elimination
+    @pytest.mark.parametrize("d, digest", [
+        (0, "64dfe2dcaa51db389502e23b39936e51ff1ece65cb6869ec1e536928a9124f1c"),
+        (5, "c8a0afc0c672fef57417430759b53f4b02e5ea20cb8be96a160490268ccb0a3e"),
+        (12, "31839a041a52e808cd98d7470a2732ba3098e02039632f914578dfc948fb4502"),
+    ])
+    def test_cli_json_golden(self, capsys, d, digest):
+        assert run(["oracle", str(d), "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_span_equals_sympy_nullspace(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        QQ = sympy.QQ
+        for d in range(11):
+            monomials = degree_monomials(d)
+            n = len(monomials)
+            _, x, y, z, *coeffs = sympy.ring(["x", "y", "z"] + [f"c{j}" for j in range(n)], QQ)
+            phi = sum(c * x**a * y**b * z**e for c, (a, b, e) in zip(coeffs, monomials))
+            residual = -2 * y * sympy.diff(phi, x) + z * sympy.diff(phi, y)
+            rows = {}
+            for mono, value in residual.terms():
+                rows.setdefault(mono[:3], [QQ.zero] * n)[mono[3:].index(1)] = value
+            system = DomainMatrix(list(rows.values()) or [[QQ.zero] * n], (max(len(rows), 1), n), QQ)
+            expected = system.nullspace()
+            oracle = kernel_oracle(d)
+            found = DomainMatrix(
+                [[QQ(int(v)) for v in vec] for vec in oracle.kernel_basis], (oracle.dimension, n), QQ
+            )
+            assert expected.rank() == found.rank() == DomainMatrix.vstack(expected, found).rank()
 
 
 class TestSpanEquality:
