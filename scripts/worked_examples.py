@@ -20,6 +20,7 @@ from nagata import (
     build_nagata,
     classify,
     compose,
+    decompose,
     deformation_compare,
     expand_bivariate,
     inverse_nagata,
@@ -48,12 +49,13 @@ def main():
     print("h =", nag.endo.h)
     print("jacobian determinant =", jacobian_det(nag.endo))
     print("residual =", pde_residual(PHI))
-    print("representative p =", nag.representative)
+    p = decompose(PHI)
+    print("representative p =", p)
     print("classification =", classify(PHI).verdict.value)
-    inverse = inverse_nagata(nag.representative)
+    inverse = inverse_nagata(p)
     assert compose(nag.endo, inverse) == PolyEndo.identity()
     print("inverse verified by composition; inverse f' =", inverse.f)
-    print("lojasiewicz exponent =", loj_exponent(nag.representative).exponent)
+    print("lojasiewicz exponent =", loj_exponent(p).exponent)
     cert = milnor_certificate(PHI)
     print("ideal certificate: x = f + (2*phi)*g + (-phi^2)*h, with 2*phi =",
           cert.x_combination[1])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .maps import PolyEndo, build_nagata, compose, decompose, pde_residual
-from .poly import Poly, X, Y, Z, expand_bivariate
+from .poly import Poly, X, Y, Z
 
 WEIGHTS = (2, 1)  # grading under which t1 matches x*z + y^2 and t2 matches z
 
@@ -51,14 +51,14 @@ def wild_by_leading_form(p: Poly) -> bool:
     return not p.weighted_leading_form(WEIGHTS).partial("t1").is_zero()
 
 
-def _tame_factorization(phi: Poly, p: Poly) -> tuple[PolyEndo, PolyEndo]:
-    """For p in Q[t2] the map splits into two elementary automorphisms:
-    first shift x by -2*y*q - z*q^2, then shift y by z*q, with q = p(z).
-    Verified by composition before returning."""
-    q = expand_bivariate(p)  # p depends only on t2, so this is p(z)
-    first = PolyEndo(X - 2 * Y * q - Z * q ** 2, Y, Z)
-    second = PolyEndo(X, Y + Z * q, Z)
-    target = PolyEndo(X - 2 * Y * phi - Z * phi ** 2, Y + Z * phi, Z)
+def _tame_factorization(phi: Poly) -> tuple[PolyEndo, PolyEndo]:
+    """For phi = p(z) the map (f, g, z) is the elementary automorphism
+    (f, y, z) followed by the elementary automorphism (x, g, z), because
+    the first leaves phi unchanged.  Verified by composition before
+    returning."""
+    target = build_nagata(phi).endo
+    first = PolyEndo(target.f, Y, Z)
+    second = PolyEndo(X, target.g, Z)
     if compose(second, first) != target:
         raise RuntimeError("tame factorization failed verification; arithmetic bug")
     return (first, second)
@@ -77,7 +77,7 @@ def classify(phi: Poly) -> Classification:
         return Classification(
             Verdict.TAME_AUTOMORPHISM,
             representative=p,
-            tame_factors=_tame_factorization(phi, p),
+            tame_factors=_tame_factorization(phi),
         )
     lead = p.weighted_leading_form(WEIGHTS)
     lead_t1 = lead.partial("t1")
@@ -93,7 +93,7 @@ def classify(phi: Poly) -> Classification:
             Verdict.TAME_AUTOMORPHISM,
             representative=p,
             leading_form=lead,
-            tame_factors=_tame_factorization(phi, p),
+            tame_factors=_tame_factorization(phi),
         )
     return Classification(
         Verdict.AUTOMORPHISM_TAMENESS_UNKNOWN,

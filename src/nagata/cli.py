@@ -18,11 +18,12 @@ import random
 import sys
 
 from .classify import Classification, Verdict, classify
-from .lojasiewicz import deformation_compare, loj_exponent
+from .lojasiewicz import _loj_report, deformation_compare, loj_exponent
 from .maps import (
     PolyEndo,
     build_nagata,
     compose,
+    decompose,
     inverse_nagata,
     jacobian_report,
 )
@@ -94,9 +95,10 @@ def _analysis_payload(phi: Poly) -> tuple[dict, list[str], int]:
         f"automorphism: {'yes' if is_auto else 'no'}",
     ]
     if is_auto:
+        # classify's decompose has proven phi == expand_bivariate(p)
         p = verdict.representative
-        inverse = inverse_nagata(p)
-        loj = loj_exponent(p)
+        inverse = build_nagata(-phi).endo
+        loj = _loj_report(phi, inverse)
         payload["representative"] = str(p)
         payload["inverse"] = _endo_payload(inverse)
         payload["lojasiewicz_exponent"] = str(loj.exponent)
@@ -218,14 +220,14 @@ def _cmd_loj(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_decompose(args) -> tuple[int, dict, list[str]]:
     phi = parse_poly3(args.phi)
-    nag = build_nagata(phi)
-    present = nag.representative is not None
+    p = decompose(phi)
+    present = p is not None
     payload = {
         "phi": str(phi),
-        "representative": str(nag.representative) if present else None,
+        "representative": str(p) if present else None,
     }
     line = (
-        f"representative p: {nag.representative}"
+        f"representative p: {p}"
         if present
         else "representative: absent (phi is not a polynomial in x*z + y^2 and z)"
     )
@@ -329,10 +331,7 @@ def run(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         code, payload, lines = args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

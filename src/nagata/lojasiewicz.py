@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .maps import inverse_nagata
+from .maps import PolyEndo, build_nagata
 from .poly import Poly, RING2, expand_bivariate
 
 
@@ -42,9 +42,14 @@ def loj_exponent(p: Poly) -> LojReport:
     if p.vars != RING2:
         raise ValueError("loj_exponent expects a bivariate representative in t1, t2")
     phi = expand_bivariate(p)
-    inverse = inverse_nagata(p)
+    return _loj_report(phi, build_nagata(-phi).endo)
+
+
+def _loj_report(phi: Poly, inverse: PolyEndo) -> LojReport:
+    """The report for phi = p(x*z + y^2, z) and the inverse of its map,
+    both already built by the caller."""
     inverse_degree = max(component.total_degree() for component in inverse)
-    expected = 1 if p.is_constant() else 2 * phi.total_degree() + 1
+    expected = 1 if phi.is_constant() else 2 * phi.total_degree() + 1
     if inverse_degree != expected:
         raise RuntimeError("inverse degree formula violated; arithmetic bug")
     phi_degree = 0 if phi.is_zero() else phi.total_degree()

@@ -9,8 +9,9 @@ For a polynomial phi, the associated map is the triple
 It is the identity for phi = 0 and the classical Nagata automorphism for
 phi = x*z + y^2.  The map is an automorphism exactly when the residual
 -2*y*phi_x + z*phi_y vanishes, equivalently when phi = p(x*z + y^2, z)
-for a bivariate p; in that case the inverse is (x + 2*y*phi - z*phi^2,
-y - z*phi, z).
+for a bivariate p; in that case the inverse is the map of -phi.  The
+formula is written once, in ``build_nagata``; the inverse, the Jacobian
+report and the Milnor certificate are all built through it.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ class PolyEndo:
 
 @dataclass(frozen=True)
 class NagataMap:
-    """A polynomial phi together with its map and, when phi lies in the
-    invariant subalgebra Q[x*z + y^2, z], the bivariate representative."""
+    """A polynomial phi together with its map."""
 
     phi: Poly
     endo: PolyEndo
-    representative: Poly | None
 
 
 @dataclass(frozen=True)
@@ -64,21 +63,6 @@ class JacobianReport:
     determinant: Poly
     residual: Poly
     is_constant_nonzero: bool
-
-
-@dataclass(frozen=True)
-class AutomorphyResult:
-    """Outcome of the automorphy decision, with an explicit witness:
-    the representative and inverse when true, the nonzero residual when
-    false."""
-
-    is_automorphism: bool
-    residual: Poly
-    representative: Poly | None
-    inverse: PolyEndo | None
-
-    def __bool__(self) -> bool:
-        return self.is_automorphism
 
 
 @dataclass(frozen=True)
@@ -100,7 +84,7 @@ def build_nagata(phi: Poly) -> NagataMap:
     """Construct the map (x - 2*y*phi - z*phi^2, y + z*phi, z)."""
     _require_ring3(phi)
     endo = PolyEndo(X - 2 * Y * phi - Z * phi ** 2, Y + Z * phi, Z)
-    return NagataMap(phi=phi, endo=endo, representative=decompose(phi))
+    return NagataMap(phi=phi, endo=endo)
 
 
 def jacobian(e: PolyEndo) -> tuple[tuple[Poly, ...], ...]:
@@ -113,7 +97,10 @@ def jacobian(e: PolyEndo) -> tuple[tuple[Poly, ...], ...]:
 
 def jacobian_det(e: PolyEndo) -> Poly:
     """Exact determinant of the Jacobian matrix, by cofactor expansion."""
-    m = jacobian(e)
+    return _determinant(jacobian(e))
+
+
+def _determinant(m: tuple[tuple[Poly, ...], ...]) -> Poly:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -130,11 +117,11 @@ def pde_residual(phi: Poly) -> Poly:
 
 def jacobian_report(phi: Poly) -> JacobianReport:
     """Jacobian matrix, determinant and residual of the map built from phi."""
-    endo = PolyEndo(X - 2 * Y * phi - Z * phi ** 2, Y + Z * phi, Z)
-    det = jacobian_det(endo)
+    matrix = jacobian(build_nagata(phi).endo)
+    det = _determinant(matrix)
     residual = pde_residual(phi)
     return JacobianReport(
-        matrix=jacobian(endo),
+        matrix=matrix,
         determinant=det,
         residual=residual,
         is_constant_nonzero=det.is_constant() and not det.is_zero(),
@@ -162,10 +149,9 @@ def decompose(phi: Poly) -> Poly | None:
 
 
 def inverse_nagata(p: Poly) -> PolyEndo:
-    """Explicit inverse (x + 2*y*phi - z*phi^2, y - z*phi, z) of the map
-    built from phi = p(x*z + y^2, z)."""
-    phi = expand_bivariate(p)
-    return PolyEndo(X + 2 * Y * phi - Z * phi ** 2, Y - Z * phi, Z)
+    """Explicit inverse of the map built from phi = p(x*z + y^2, z): the
+    map built from -phi, that is (x + 2*y*phi - z*phi^2, y - z*phi, z)."""
+    return build_nagata(-expand_bivariate(p)).endo
 
 
 def compose(outer: PolyEndo, inner: PolyEndo) -> PolyEndo:
@@ -178,19 +164,6 @@ def compose(outer: PolyEndo, inner: PolyEndo) -> PolyEndo:
     )
 
 
-def is_automorphism(phi: Poly) -> AutomorphyResult:
-    """Decide automorphy of the map built from phi via the residual test."""
-    residual = pde_residual(phi)
-    if not residual.is_zero():
-        return AutomorphyResult(False, residual, None, None)
-    p = decompose(phi)
-    if p is None:
-        raise RuntimeError(
-            "zero residual but no bivariate representative; arithmetic bug"
-        )
-    return AutomorphyResult(True, residual, p, inverse_nagata(p))
-
-
 def milnor_certificate(phi: Poly) -> MilnorCertificate:
     """Certificate that <f,g,h> = <x,y,z>:
 
@@ -200,9 +173,7 @@ def milnor_certificate(phi: Poly) -> MilnorCertificate:
     Both identities are verified by expansion before returning; failure
     indicates an arithmetic bug, not a property of phi.
     """
-    _require_ring3(phi)
-    nag = build_nagata(phi)
-    f, g, h = nag.endo
+    f, g, h = build_nagata(phi).endo
     one = Poly.constant(RING3, 1)
     zero = Poly.zero(RING3)
     x_comb = (one, 2 * phi, -phi ** 2)

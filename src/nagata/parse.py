@@ -1,4 +1,4 @@
-"""Recursive-descent parser and canonical printer for polynomial expressions.
+"""Recursive-descent parser for polynomial expressions.
 
 Grammar (whitespace-insensitive):
 
@@ -13,9 +13,11 @@ Grammar (whitespace-insensitive):
 
 Implicit multiplication ("2y") is rejected; "*" is required.  Exponents
 are nonnegative integer literals and coefficients are exact rationals
-written with "/" (no decimal notation).  Positions in error messages are
-1-based character offsets; end-of-input is reported at the last
-character of the text.
+written with "/" (no decimal notation).  Parentheses nest at most 100
+deep; deeper input is a ParseError rather than a stack overflow.
+Positions in error messages are 1-based character offsets; end-of-input
+is reported at the last character of the text.  The canonical printed
+form of a polynomial is ``str(poly)``, which always re-parses.
 """
 
 from __future__ import annotations
@@ -85,12 +87,17 @@ def _tokenize(text: str) -> list[_Token]:
 
 _BASE_STARTS = frozenset({"number", "variable", "'('"})
 
+# Each level of parentheses costs four stack frames (base, expr, term,
+# factor); 100 levels stay far below Python's default recursion limit.
+_MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str, names: tuple[str, ...]):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.names = names
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -162,8 +169,14 @@ class _Parser:
                 raise UnknownIdentifierError(tok.text, tok.position, self.names)
             return Poly.variable(self.names, tok.text)
         if tok.kind == "(":
+            if self.nesting == _MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {_MAX_NESTING}", tok.position
+                )
             self.advance()
+            self.nesting += 1
             value = self.expr()
+            self.nesting -= 1
             if self.peek().kind != ")":
                 raise self.fail(frozenset({"')'"}))
             self.advance()
@@ -179,8 +192,3 @@ def parse_poly3(text: str) -> Poly:
 def parse_poly2(text: str) -> Poly:
     """Parse an expression in t1, t2 into an exact polynomial."""
     return _Parser(text, RING2).parse()
-
-
-def print_canonical(p: Poly) -> str:
-    """Canonical, re-parseable rendering (degree descending, then lex)."""
-    return str(p)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .maps import pde_residual
 from .poly import Exponent, Poly, RING3, T1, T2, expand_bivariate
@@ -85,18 +85,14 @@ def solution_basis(d: int) -> SolutionBasis:
     return SolutionBasis(degree=d, elements=elements)
 
 
-def check_homogeneous_split(
-    phi: Poly,
-    residual_op: Callable[[Poly], Poly] = pde_residual,
-) -> tuple[ComponentResidual, ...]:
+def check_homogeneous_split(phi: Poly) -> tuple[ComponentResidual, ...]:
     """Residual of each homogeneous component of phi.
 
     Because the residual operator has homogeneous coefficients of one
-    degree, phi solves the equation iff every component does; the same
-    holds for any operator of that shape passed as ``residual_op``.
+    degree, phi solves the equation iff every component does.
     """
     return tuple(
-        ComponentResidual(degree=d, component=comp, residual=residual_op(comp))
+        ComponentResidual(degree=d, component=comp, residual=pde_residual(comp))
         for d, comp in phi.homogeneous_components()
     )
 

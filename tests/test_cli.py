@@ -152,6 +152,13 @@ class TestErrorsAndReproducibility:
         assert code == 2
         assert "bound" in err
 
+    def test_deep_nesting_exits_two(self, capsys):
+        code, out, err = invoke(capsys, "analyze", "(" * 2000 + "x" + ")" * 2000)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested deeper than 100" in err
+
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run(["frobnicate"]) == 2
 

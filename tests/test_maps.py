@@ -9,15 +9,16 @@ from nagata import (
     RING3,
     T1,
     T2,
+    Verdict,
     X,
     Y,
     Z,
     build_nagata,
+    classify,
     compose,
     decompose,
     expand_bivariate,
     inverse_nagata,
-    is_automorphism,
     jacobian,
     jacobian_det,
     jacobian_report,
@@ -38,7 +39,7 @@ class TestBuild:
         assert nag.endo.f == X - 2 * Y * (Z * X + Y ** 2) - Z * (Z * X + Y ** 2) ** 2
         assert nag.endo.g == Y + Z * (Z * X + Y ** 2)
         assert nag.endo.h == Z
-        assert nag.representative == T1
+        assert decompose(nag.phi) == T1
 
     def test_zero_gives_identity(self):
         assert build_nagata(Poly.zero(RING3)).endo == IDENTITY
@@ -46,7 +47,7 @@ class TestBuild:
     def test_phi_x(self):
         nag = build_nagata(X)
         assert nag.endo == PolyEndo(X - 2 * X * Y - X ** 2 * Z, Y + X * Z, Z)
-        assert nag.representative is None
+        assert decompose(nag.phi) is None
 
     def test_wrong_ring_rejected(self):
         with pytest.raises(ValueError):
@@ -103,17 +104,18 @@ class TestResidual:
 
 class TestAutomorphy:
     def test_classical_is_automorphism(self):
-        result = is_automorphism(PHI)
-        assert result
+        result = classify(PHI)
+        assert result.verdict is not Verdict.NOT_AUTOMORPHISM
         assert result.representative == T1
-        assert compose(build_nagata(PHI).endo, result.inverse) == IDENTITY
+        inverse = inverse_nagata(result.representative)
+        assert compose(build_nagata(PHI).endo, inverse) == IDENTITY
 
     def test_non_automorphisms_with_witnesses(self):
         for phi, witness in ((X, -2 * Y), (Y, Z)):
-            result = is_automorphism(phi)
-            assert not result
+            result = classify(phi)
+            assert result.verdict is Verdict.NOT_AUTOMORPHISM
             assert result.residual == witness
-            assert result.inverse is None
+            assert result.representative is None  # so no inverse is built
 
     def test_collision_witness(self):
         endo = build_nagata(X).endo
