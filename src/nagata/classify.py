@@ -33,10 +33,11 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict plus the evidence that justifies it."""
+    """Verdict plus the evidence that justifies it.  ``residual`` is set
+    for every verdict; it is zero exactly for the automorphisms."""
 
     verdict: Verdict
-    residual: Poly | None = None
+    residual: Poly
     representative: Poly | None = None
     leading_form: Poly | None = None
     leading_form_t1_derivative: Poly | None = None
@@ -67,7 +68,7 @@ def _tame_factorization(phi: Poly) -> tuple[PolyEndo, PolyEndo]:
 def classify(phi: Poly) -> Classification:
     residual = pde_residual(phi)
     if not residual.is_zero():
-        return Classification(Verdict.NOT_AUTOMORPHISM, residual=residual)
+        return Classification(Verdict.NOT_AUTOMORPHISM, residual)
     p = decompose(phi)
     if p is None:
         raise RuntimeError(
@@ -76,6 +77,7 @@ def classify(phi: Poly) -> Classification:
     if p.is_zero():
         return Classification(
             Verdict.TAME_AUTOMORPHISM,
+            residual,
             representative=p,
             tame_factors=_tame_factorization(phi),
         )
@@ -84,6 +86,7 @@ def classify(phi: Poly) -> Classification:
     if not lead_t1.is_zero():
         return Classification(
             Verdict.WILD_AUTOMORPHISM,
+            residual,
             representative=p,
             leading_form=lead,
             leading_form_t1_derivative=lead_t1,
@@ -91,12 +94,14 @@ def classify(phi: Poly) -> Classification:
     if all(exp[0] == 0 for exp, _ in p.terms()):
         return Classification(
             Verdict.TAME_AUTOMORPHISM,
+            residual,
             representative=p,
             leading_form=lead,
             tame_factors=_tame_factorization(phi),
         )
     return Classification(
         Verdict.AUTOMORPHISM_TAMENESS_UNKNOWN,
+        residual,
         representative=p,
         leading_form=lead,
         leading_form_t1_derivative=lead_t1,

@@ -7,13 +7,16 @@ as strings like ``"1/5"``.
 
 Exit codes: 0 on success; 1 on a negative domain verdict (analyze /
 classify on a non-automorphism, decompose when no representative exists,
-oracle on a span mismatch); 2 on usage, parse, or precondition errors.
+oracle on a span mismatch); 2 on usage, parse, or precondition errors,
+including a ``basis`` or ``oracle`` degree above ``pde.DEGREE_BOUND``.
+A closed stdout does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -28,7 +31,7 @@ from .maps import (
     jacobian_report,
 )
 from .parse import ParseError, parse_poly2, parse_poly3
-from .pde import DEFAULT_DEGREE_BOUND, _spans_agree, kernel_oracle, solution_basis
+from .pde import DEGREE_BOUND, _spans_agree, kernel_oracle, solution_basis
 from .poly import Poly, RING3, expand_bivariate
 from .randgen import random_poly2
 
@@ -59,7 +62,7 @@ def _parse_endo(text: str) -> PolyEndo:
 
 def _evidence_payload(c: Classification) -> dict:
     evidence: dict = {}
-    if c.residual is not None:
+    if not c.residual.is_zero():
         evidence["residual"] = str(c.residual)
     if c.representative is not None:
         evidence["representative"] = str(c.representative)
@@ -74,13 +77,13 @@ def _evidence_payload(c: Classification) -> dict:
 
 def _analysis_payload(phi: Poly) -> tuple[dict, list[str], int]:
     """Shared full report for ``analyze`` and ``random``."""
-    report = jacobian_report(phi)
+    determinant = jacobian_report(phi).determinant
     verdict = classify(phi)
-    is_auto = report.residual.is_zero()
+    is_auto = verdict.residual.is_zero()
     payload = {
         "phi": str(phi),
-        "residual": str(report.residual),
-        "jacobian_determinant": str(report.determinant),
+        "residual": str(verdict.residual),
+        "jacobian_determinant": str(determinant),
         "is_automorphism": is_auto,
         "representative": None,
         "inverse": None,
@@ -90,8 +93,8 @@ def _analysis_payload(phi: Poly) -> tuple[dict, list[str], int]:
     }
     lines = [
         f"phi: {phi}",
-        f"residual: {report.residual}",
-        f"jacobian determinant: {report.determinant}",
+        f"residual: {verdict.residual}",
+        f"jacobian determinant: {determinant}",
         f"automorphism: {'yes' if is_auto else 'no'}",
     ]
     if is_auto:
@@ -165,7 +168,7 @@ def _cmd_basis(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
-    result = kernel_oracle(args.degree, args.max_degree)
+    result = kernel_oracle(args.degree)
     verified = _spans_agree(result, solution_basis(args.degree))
     monomial_strings = [str(Poly(RING3, {m: 1})) for m in result.monomials]
     payload = {
@@ -285,15 +288,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("basis", help="closed-form basis of homogeneous solutions "
                                      "of the residual equation in one degree")
-    s.add_argument("degree", type=int)
+    s.add_argument("degree", type=int, help=f"0 to {DEGREE_BOUND}")
     _add_json_flag(s)
     s.set_defaults(handler=_cmd_basis)
 
     s = sub.add_parser("oracle", help="exact kernel of the residual map in one degree, "
                                       "plus a span check against the closed-form basis")
-    s.add_argument("degree", type=int)
-    s.add_argument("--max-degree", type=int, default=DEFAULT_DEGREE_BOUND,
-                   help=f"oracle size cap (default {DEFAULT_DEGREE_BOUND})")
+    s.add_argument("degree", type=int, help=f"0 to {DEGREE_BOUND}")
     _add_json_flag(s)
     s.set_defaults(handler=_cmd_oracle)
 
@@ -334,12 +335,19 @@ def run(argv=None) -> int:
     except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        document = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
-        print(json.dumps(document, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            document = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
+            print(json.dumps(document, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; keep the interpreter's final flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -61,7 +61,6 @@ class NagataMap:
 class JacobianReport:
     matrix: tuple[tuple[Poly, ...], ...]
     determinant: Poly
-    residual: Poly
     is_constant_nonzero: bool
 
 
@@ -116,14 +115,13 @@ def pde_residual(phi: Poly) -> Poly:
 
 
 def jacobian_report(phi: Poly) -> JacobianReport:
-    """Jacobian matrix, determinant and residual of the map built from phi."""
+    """Jacobian matrix and determinant of the map built from phi; the
+    determinant is 1 + pde_residual(phi)."""
     matrix = jacobian(build_nagata(phi).endo)
     det = _determinant(matrix)
-    residual = pde_residual(phi)
     return JacobianReport(
         matrix=matrix,
         determinant=det,
-        residual=residual,
         is_constant_nonzero=det.is_constant() and not det.is_zero(),
     )
 

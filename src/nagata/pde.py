@@ -13,7 +13,9 @@ Two independent routes to the degree-d solution space:
   fraction-free Gaussian elimination.  Cost and memory grow with the
   block sizes, not with the square of the number of monomials.
 
-``verify_basis_against_oracle`` checks that the two spans agree.
+``verify_basis_against_oracle`` checks that the two spans agree.  Both
+routes refuse degrees above ``DEGREE_BOUND``, so that no degree runs
+without bound (the oracle's dense kernel vectors grow as d^3).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterable
 from .maps import pde_residual
 from .poly import Exponent, Poly, RING3, T1, T2, expand_bivariate
 
-DEFAULT_DEGREE_BOUND = 12
+DEGREE_BOUND = 100
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,17 @@ def invariant_monomials(d: int) -> list[tuple[int, int]]:
     return [(k1, d - 2 * k1) for k1 in range(d // 2, -1, -1)]
 
 
+def _check_degree(d: int) -> None:
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    if d > DEGREE_BOUND:
+        raise ValueError(f"degree {d} exceeds the degree bound {DEGREE_BOUND}")
+
+
 def solution_basis(d: int) -> SolutionBasis:
-    """The floor(d/2)+1 expansions (x*z + y^2)^k1 * z^k2 with 2*k1 + k2 = d."""
+    """The floor(d/2)+1 expansions (x*z + y^2)^k1 * z^k2 with 2*k1 + k2 = d,
+    for 0 <= d <= DEGREE_BOUND."""
+    _check_degree(d)
     elements = tuple(
         expand_bivariate(T1 ** k1 * T2 ** k2) for k1, k2 in invariant_monomials(d)
     )
@@ -198,7 +209,7 @@ def _kernel_vector(free_col: int, pivots: dict[int, dict[int, int]]) -> dict[int
     return {c: x // g for c, x in v.items()}
 
 
-def kernel_oracle(d: int, max_degree: int = DEFAULT_DEGREE_BOUND) -> KernelOracleResult:
+def kernel_oracle(d: int) -> KernelOracleResult:
     """Exact kernel of the residual map in degree d.
 
     The residual map is built as sparse columns over the (d+1)(d+2)/2
@@ -207,13 +218,9 @@ def kernel_oracle(d: int, max_degree: int = DEFAULT_DEGREE_BOUND) -> KernelOracl
     its own and its kernel vectors are found by back-substitution inside
     the block, so cost and memory grow with the block sizes rather than
     with the square of the number of monomials.  Kernel vectors are
-    listed by ascending free column.  ``d`` is capped by ``max_degree``
-    (default 12).
+    listed by ascending free column.  ``d`` is at most ``DEGREE_BOUND``.
     """
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    if d > max_degree:
-        raise ValueError(f"degree {d} exceeds the kernel oracle bound {max_degree}")
+    _check_degree(d)
     monomials = degree_monomials(d)
     columns = _residual_columns(monomials)
     sparse: list[tuple[int, dict[int, int]]] = []
@@ -261,7 +268,7 @@ def _spans_agree(oracle: KernelOracleResult, basis: SolutionBasis) -> bool:
     return rank_a == rank_b == rank_ab
 
 
-def verify_basis_against_oracle(d: int, max_degree: int = DEFAULT_DEGREE_BOUND) -> bool:
+def verify_basis_against_oracle(d: int) -> bool:
     """True iff the closed-form basis and the oracle kernel in degree d
     span the same subspace over Q (checked by exact rank computations)."""
-    return _spans_agree(kernel_oracle(d, max_degree), solution_basis(d))
+    return _spans_agree(kernel_oracle(d), solution_basis(d))

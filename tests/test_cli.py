@@ -1,7 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from nagata import parse_poly2, parse_poly3
+import pytest
+
+from nagata import DEGREE_BOUND, parse_poly2, parse_poly3
 from nagata.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, *argv):
@@ -148,9 +156,30 @@ class TestErrorsAndReproducibility:
         assert "support" in err
 
     def test_oracle_bound_exits_two(self, capsys):
-        code, _, err = invoke(capsys, "oracle", "13")
+        code, _, err = invoke(capsys, "oracle", "101")
         assert code == 2
         assert "bound" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["basis", str(DEGREE_BOUND + 1)],
+        ["basis", "3000"],
+    ])
+    def test_basis_bound_exits_two(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: degree {argv[1]} exceeds the degree bound {DEGREE_BOUND}\n"
+
+    def test_degree_bound_is_admitted(self, capsys):
+        code, doc, _ = invoke_json(capsys, "oracle", str(DEGREE_BOUND))
+        assert code == 0
+        assert doc["dimension"] == DEGREE_BOUND // 2 + 1
+        assert doc["verified"] is True
+
+    def test_max_degree_flag_is_gone(self, capsys):
+        code, _, err = invoke(capsys, "oracle", "5", "--max-degree", "5")
+        assert code == 2
+        assert "--max-degree" in err
 
     def test_deep_nesting_exits_two(self, capsys):
         code, out, err = invoke(capsys, "analyze", "(" * 2000 + "x" + ")" * 2000)
@@ -174,3 +203,27 @@ class TestErrorsAndReproducibility:
         _, out1, _ = invoke(capsys, "random", "--seed", "1")
         _, out2, _ = invoke(capsys, "random", "--seed", "2")
         assert out1 != out2
+
+
+class TestClosedStdout:
+    """A reader that goes away is not a verdict: the command's own exit
+    code comes back, and nothing is written to stderr."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["oracle", "12", "--json"], 0),
+        (["basis", "40", "--json"], 0),
+        (["analyze", "x"], 1),
+    ])
+    def test_exit_code_is_the_commands_own(self, argv, expected):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child starts, so before it writes
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "nagata", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == expected
+        assert done.stderr == b""

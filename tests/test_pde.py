@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from nagata import (
+    DEGREE_BOUND,
     KernelOracleResult,
     Poly,
     RING3,
@@ -48,6 +49,11 @@ class TestSolutionBasis:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             solution_basis(-1)
+
+    def test_degree_bound_enforced(self):
+        assert len(solution_basis(DEGREE_BOUND).elements) == DEGREE_BOUND // 2 + 1
+        with pytest.raises(ValueError, match=f"degree bound {DEGREE_BOUND}$"):
+            solution_basis(DEGREE_BOUND + 1)
 
     def test_odd_degree_elements_divisible_by_z(self):
         for n in range(4):
@@ -113,17 +119,15 @@ class TestKernelOracle:
                 assert pde_residual(polynomial) == 0
 
     def test_degree_bound_enforced(self):
-        with pytest.raises(ValueError, match="bound 12"):
-            kernel_oracle(13)
-        # a raised bound admits the degree
-        assert kernel_oracle(13, max_degree=13).dimension == 7
+        with pytest.raises(ValueError, match=f"bound {DEGREE_BOUND}"):
+            kernel_oracle(DEGREE_BOUND + 1)
 
     def test_dimension_law(self):
         for d in range(9):
             assert kernel_oracle(d).dimension == d // 2 + 1
 
     def test_large_degree(self):
-        result = kernel_oracle(40, max_degree=40)
+        result = kernel_oracle(40)
         assert result.dimension == 21
         assert all(pde_residual(p) == 0 for p in result.polynomials())
 
