@@ -8,8 +8,11 @@ as strings like ``"1/5"``.
 Exit codes: 0 on success; 1 on a negative domain verdict (analyze /
 classify on a non-automorphism, decompose when no representative exists,
 oracle on a span mismatch); 2 on usage, parse, or precondition errors,
-including a ``basis`` or ``oracle`` degree above ``pde.DEGREE_BOUND``.
-A closed stdout does not change the exit code.
+including a ``basis`` or ``oracle`` degree above ``pde.DEGREE_BOUND`` and
+a ``random --dvmax`` above ``DVMAX_BOUND``; 3 on an internal error (any
+other exception, such as a failed self-check or ``MemoryError``), reported
+as one ``internal error:`` line on stderr.  A closed stdout does not
+change the exit code.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ from .poly import Poly, RING3, expand_bivariate
 from .randgen import random_poly2
 
 SCHEMA_VERSION = 1
+
+# ``random`` analyzes a p of (2,1)-weighted degree up to dvmax; the cost
+# grows steeply with it, so larger values are refused rather than left to
+# run without bound.
+DVMAX_BOUND = 20
 
 
 def _endo_payload(e: PolyEndo) -> dict:
@@ -238,6 +246,8 @@ def _cmd_decompose(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_random(args) -> tuple[int, dict, list[str]]:
+    if args.dvmax > DVMAX_BOUND:
+        raise ValueError(f"dvmax {args.dvmax} exceeds the bound {DVMAX_BOUND}")
     rng = random.Random(args.seed)
     p = random_poly2(rng, args.dvmax)
     phi = expand_bivariate(p)
@@ -313,7 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("random", help="reproducible random p and its full analysis")
     s.add_argument("--dvmax", type=int, default=6,
-                   help="bound on the (2,1)-weighted degree of p (default 6)")
+                   help="bound on the (2,1)-weighted degree of p, "
+                        f"0 to {DVMAX_BOUND} (default 6)")
     s.add_argument("--seed", type=int, default=0)
     _add_json_flag(s)
     s.set_defaults(handler=_cmd_random)
@@ -335,6 +346,10 @@ def run(argv=None) -> int:
     except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash is not a verdict, so it must not exit 1
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"internal error: {detail}", file=sys.stderr)
+        return 3
     try:
         if args.json:
             document = {"schema": SCHEMA_VERSION, "command": args.command, **payload}

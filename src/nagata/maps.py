@@ -11,12 +11,14 @@ phi = x*z + y^2.  The map is an automorphism exactly when the residual
 -2*y*phi_x + z*phi_y vanishes, equivalently when phi = p(x*z + y^2, z)
 for a bivariate p; in that case the inverse is the map of -phi.  The
 formula is written once, in ``build_nagata``; the inverse, the Jacobian
-report and the Milnor certificate are all built through it.
+report and the Milnor certificate are all built through it.  A map from
+``build_nagata`` keeps its phi, so that ``compose`` can apply the formula
+to the substituted phi instead of substituting the expanded components.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import Poly, RING2, RING3, Scalar, X, Y, Z, expand_bivariate
@@ -24,11 +26,15 @@ from .poly import Poly, RING2, RING3, Scalar, X, Y, Z, expand_bivariate
 
 @dataclass(frozen=True)
 class PolyEndo:
-    """An endomorphism of Q[x,y,z], given by the images of x, y, z."""
+    """An endomorphism of Q[x,y,z], given by the images of x, y, z.
+
+    ``phi`` is set only on maps built by ``build_nagata``, for ``compose``;
+    equality, hashing and repr ignore it."""
 
     f: Poly
     g: Poly
     h: Poly
+    phi: Poly | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for c in (self.f, self.g, self.h):
@@ -82,7 +88,7 @@ def _require_ring3(phi: Poly) -> None:
 def build_nagata(phi: Poly) -> NagataMap:
     """Construct the map (x - 2*y*phi - z*phi^2, y + z*phi, z)."""
     _require_ring3(phi)
-    endo = PolyEndo(X - 2 * Y * phi - Z * phi ** 2, Y + Z * phi, Z)
+    endo = PolyEndo(X - 2 * Y * phi - Z * phi ** 2, Y + Z * phi, Z, phi)
     return NagataMap(phi=phi, endo=endo)
 
 
@@ -153,8 +159,18 @@ def inverse_nagata(p: Poly) -> PolyEndo:
 
 
 def compose(outer: PolyEndo, inner: PolyEndo) -> PolyEndo:
-    """Componentwise substitution of inner into outer, fully expanded."""
+    """Componentwise substitution of inner into outer, fully expanded.
+
+    When outer is the map of phi, the result is the map formula applied to
+    inner = (F, G, H) and q = phi(F, G, H): (F - 2*G*q - H*q^2, G + H*q, H).
+    That substitutes phi once instead of the expanded f and g, whose
+    phi^2 makes them far larger.  The result carries no phi.
+    """
     values = (inner.f, inner.g, inner.h)
+    if outer.phi is not None:
+        f, g, h = values
+        q = outer.phi.substitute(*values)
+        return PolyEndo(f - 2 * g * q - h * q ** 2, g + h * q, h)
     return PolyEndo(
         outer.f.substitute(*values),
         outer.g.substitute(*values),

@@ -9,7 +9,7 @@ Grammar (whitespace-insensitive):
     variable := "x" | "y" | "z"          (trivariate)
               | "t1" | "t2"              (bivariate)
     rational := natural ["/" natural]
-    natural  := digit+
+    natural  := digit+                   (digits are ASCII 0-9)
 
 Implicit multiplication ("2y") is rejected; "*" is required.  Exponents
 are nonnegative integer literals and coefficients are exact rationals
@@ -54,6 +54,11 @@ class _Token:
     position: int
 
 
+# Only ASCII digits: str.isdigit also accepts characters such as "²" that
+# int() cannot read.
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, n = 0, len(text)
@@ -63,9 +68,9 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         pos = i + 1
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("number", text[i:j], pos))
             i = j

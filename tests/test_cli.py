@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from nagata import DEGREE_BOUND, parse_poly2, parse_poly3
-from nagata.cli import run
+from nagata import cli
+from nagata.cli import DVMAX_BOUND, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -203,6 +204,49 @@ class TestErrorsAndReproducibility:
         _, out1, _ = invoke(capsys, "random", "--seed", "1")
         _, out2, _ = invoke(capsys, "random", "--seed", "2")
         assert out1 != out2
+
+    def test_random_dvmax_bound_is_admitted(self, capsys):
+        assert DVMAX_BOUND == 20
+        code, doc, err = invoke_json(capsys, "random", "--dvmax", "20", "--seed", "1")
+        assert code == 0
+        assert doc["dvmax"] == 20
+        assert err == ""
+
+    def test_random_dvmax_above_bound_exits_two(self, capsys):
+        code, out, err = invoke(capsys, "random", "--dvmax", "21", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: dvmax 21 exceeds the bound 20\n"
+
+
+class TestInternalError:
+    """Exit 1 is a negative verdict and nothing else: any exception other
+    than a ValueError is an internal error, exit 3, with one stderr line."""
+
+    @pytest.mark.parametrize("exc, line", [
+        (RuntimeError("certificate for x failed verification; arithmetic bug"),
+         "internal error: RuntimeError: certificate for x failed verification; "
+         "arithmetic bug\n"),
+        (MemoryError(), "internal error: MemoryError\n"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "internal error: RecursionError: maximum recursion depth exceeded\n"),
+    ])
+    def test_unexpected_exception_exits_three(self, capsys, monkeypatch, exc, line):
+        def crash(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_analyze", crash)
+        code, out, err = invoke(capsys, "analyze", "x*z + y^2", "--json")
+        assert code == 3
+        assert out == ""
+        assert err == line
+
+    def test_value_error_still_exits_two(self, capsys, monkeypatch):
+        def refuse(args):
+            raise ValueError("bad input")
+
+        monkeypatch.setattr(cli, "_cmd_analyze", refuse)
+        assert invoke(capsys, "analyze", "x") == (2, "", "error: bad input\n")
 
 
 class TestClosedStdout:

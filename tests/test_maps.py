@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,8 @@ from nagata import (
     jacobian_report,
     milnor_certificate,
     pde_residual,
+    random_poly2,
+    random_poly3,
 )
 from _strategies import poly2s, poly3s, polys
 from nagata import RING2
@@ -165,6 +168,66 @@ class TestInverseAndCompose:
         inverse = inverse_nagata(p)
         assert compose(endo, inverse) == IDENTITY
         assert compose(inverse, endo) == IDENTITY
+
+
+def _plain(endo):
+    """The same three components without phi, so compose takes the
+    generic substitution."""
+    return PolyEndo(*endo)
+
+
+def _differential_cases(seed):
+    """(phi, G) pairs: phi arbitrary (most are not automorphisms), zero,
+    constant, or an expansion p(x*z + y^2, z); G an arbitrary triple, a
+    Nagata map, or the identity."""
+    rng = random.Random(seed)
+    phis = [Poly.zero(RING3), Poly.constant(RING3, Fraction(-3, 2))]
+    for _ in range(3):
+        phis.append(random_poly3(rng, 2))
+        phis.append(expand_bivariate(random_poly2(rng, 2)))
+    assert any(not pde_residual(phi).is_zero() for phi in phis)
+    for phi in phis:
+        others = [
+            PolyEndo(*(random_poly3(rng, 2) for _ in range(3))),
+            build_nagata(random_poly3(rng, 1)).endo,
+            build_nagata(expand_bivariate(random_poly2(rng, 2))).endo,
+            IDENTITY,
+        ]
+        for other in others:
+            yield phi, other
+
+
+class TestStructuredCompose:
+    """compose through an outer map's phi equals the generic substitution."""
+
+    def test_phi_is_kept_only_by_build_nagata(self):
+        assert build_nagata(PHI).endo.phi == PHI
+        assert inverse_nagata(T1).phi == -PHI
+        assert IDENTITY.phi is None
+        assert compose(build_nagata(PHI).endo, IDENTITY).phi is None
+
+    @pytest.mark.parametrize(
+        "phi", [Poly.zero(RING3), PHI, X, random_poly3(random.Random(5), 3)]
+    )
+    def test_phi_is_invisible_to_equality_hash_and_repr(self, phi):
+        endo = build_nagata(phi).endo
+        plain = _plain(endo)
+        assert plain.phi is None
+        assert endo == plain
+        assert hash(endo) == hash(plain)
+        assert repr(endo) == repr(plain)
+        assert len({endo, plain}) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_structured_equals_generic(self, seed):
+        for phi, other in _differential_cases(seed):
+            nagata = build_nagata(phi).endo
+            for outer, inner in ((nagata, other), (other, nagata)):
+                structured = compose(outer, inner)
+                generic = compose(_plain(outer), _plain(inner))
+                assert structured.f == generic.f
+                assert structured.g == generic.g
+                assert structured.h == generic.h
 
 
 class TestMilnorCertificate:

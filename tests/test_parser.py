@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nagata import (
     ParseError,
+    Poly,
     T1,
     T2,
     UnknownIdentifierError,
@@ -96,6 +98,25 @@ class TestErrors:
         with pytest.raises(ParseError, match="nested deeper than 100") as info:
             parse_poly3("(" * 101 + "x" + ")" * 101)
         assert info.value.position == 101
+
+    @pytest.mark.parametrize("text, position", [("x^\u00b2", 3), ("\u0663*x", 1)])
+    def test_non_ascii_digits_rejected(self, text, position):
+        # "²" passes str.isdigit but not int(); "٣" passes both
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse_poly3(text)
+        assert info.value.position == position
+
+    @given(st.text(st.characters(codec="utf-8").filter(str.isprintable), max_size=60))
+    @settings(max_examples=300)
+    def test_printable_text_parses_or_raises_parse_error(self, text):
+        # Literal exponents are not capped yet: "9^9999999" runs without
+        # bound.  Random text this short practically never contains one.
+        for parse in (parse_poly3, parse_poly2):
+            try:
+                result = parse(text)
+            except ParseError:
+                continue
+            assert isinstance(result, Poly)
 
 
 class TestPrinting:
