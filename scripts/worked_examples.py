@@ -24,7 +24,7 @@ from nagata import (
     deformation_compare,
     expand_bivariate,
     inverse_nagata,
-    jacobian_det,
+    jacobian_report,
     kernel_oracle,
     loj_exponent,
     milnor_certificate,
@@ -47,7 +47,7 @@ def main():
     print("f =", nag.endo.f)
     print("g =", nag.endo.g)
     print("h =", nag.endo.h)
-    print("jacobian determinant =", jacobian_det(nag.endo))
+    print("jacobian determinant =", jacobian_report(PHI).determinant)
     print("residual =", pde_residual(PHI))
     p = decompose(PHI)
     print("representative p =", p)

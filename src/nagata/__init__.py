@@ -1,5 +1,7 @@
 """Exact symbolic toolkit for Nagata-type polynomial maps of Q[x,y,z]."""
 
+from types import ModuleType as _ModuleType
+
 from .classify import (
     Classification,
     Verdict,
@@ -19,7 +21,6 @@ from .maps import (
     decompose,
     inverse_nagata,
     jacobian,
-    jacobian_det,
     jacobian_report,
     milnor_certificate,
     pde_residual,
@@ -31,11 +32,9 @@ from .parse import (
     parse_poly3,
 )
 from .pde import (
-    ComponentResidual,
     DEGREE_BOUND,
     KernelOracleResult,
     SolutionBasis,
-    check_homogeneous_split,
     degree_monomials,
     invariant_monomials,
     kernel_oracle,
@@ -56,54 +55,8 @@ from .poly import (
 )
 from .randgen import random_poly2, random_poly3
 
-__all__ = [
-    "Classification",
-    "ComponentResidual",
-    "DEGREE_BOUND",
-    "DeformationReport",
-    "JacobianReport",
-    "KernelOracleResult",
-    "LojReport",
-    "MilnorCertificate",
-    "NEG_INFINITY",
-    "NagataMap",
-    "ParseError",
-    "Poly",
-    "PolyEndo",
-    "RING2",
-    "RING3",
-    "SolutionBasis",
-    "T1",
-    "T2",
-    "UnknownIdentifierError",
-    "Verdict",
-    "X",
-    "Y",
-    "Z",
-    "build_nagata",
-    "check_homogeneous_split",
-    "classify",
-    "compose",
-    "decompose",
-    "deformation_compare",
-    "degree_monomials",
-    "expand_bivariate",
-    "invariant_monomials",
-    "inverse_nagata",
-    "jacobian",
-    "jacobian_det",
-    "jacobian_report",
-    "kernel_oracle",
-    "leading_minor_closed_forms",
-    "leading_minors",
-    "loj_exponent",
-    "milnor_certificate",
-    "parse_poly2",
-    "parse_poly3",
-    "pde_residual",
-    "random_poly2",
-    "random_poly3",
-    "solution_basis",
-    "verify_basis_against_oracle",
-    "wild_by_leading_form",
-]
+# The public names are the ones imported above; the submodules are not.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -25,15 +25,8 @@ import sys
 
 from .classify import Classification, Verdict, classify
 from .lojasiewicz import _loj_report, deformation_compare, loj_exponent
-from .maps import (
-    PolyEndo,
-    build_nagata,
-    compose,
-    decompose,
-    inverse_nagata,
-    jacobian_report,
-)
-from .parse import ParseError, parse_poly2, parse_poly3
+from .maps import PolyEndo, build_nagata, compose, decompose, inverse_nagata
+from .parse import ParseError, _Parser, parse_poly2, parse_poly3
 from .pde import DEGREE_BOUND, _spans_agree, kernel_oracle, solution_basis
 from .poly import Poly, RING3, expand_bivariate
 from .randgen import random_poly2
@@ -64,7 +57,10 @@ def _parse_endo(text: str) -> PolyEndo:
         raise ParseError(
             "an endomorphism needs three comma-separated expressions", 1
         )
-    f, g, h = (parse_poly3(part) for part in parts)
+    # error positions count from the start of the whole argument
+    offsets = (0, len(parts[0]) + 1, len(parts[0]) + len(parts[1]) + 2)
+    f, g, h = (_Parser(part, RING3, offset).parse()
+               for part, offset in zip(parts, offsets))
     return PolyEndo(f, g, h)
 
 
@@ -85,8 +81,10 @@ def _evidence_payload(c: Classification) -> dict:
 
 def _analysis_payload(phi: Poly) -> tuple[dict, list[str], int]:
     """Shared full report for ``analyze`` and ``random``."""
-    determinant = jacobian_report(phi).determinant
     verdict = classify(phi)
+    # the Jacobian determinant of the map of phi is 1 + (-2*y*phi_x + z*phi_y),
+    # that is 1 + residual (van den Essen 2000, ch. 1-2)
+    determinant = 1 + verdict.residual
     is_auto = verdict.residual.is_zero()
     payload = {
         "phi": str(phi),

@@ -100,12 +100,8 @@ def jacobian(e: PolyEndo) -> tuple[tuple[Poly, ...], ...]:
     )
 
 
-def jacobian_det(e: PolyEndo) -> Poly:
-    """Exact determinant of the Jacobian matrix, by cofactor expansion."""
-    return _determinant(jacobian(e))
-
-
 def _determinant(m: tuple[tuple[Poly, ...], ...]) -> Poly:
+    """Exact determinant of a 3x3 matrix, by cofactor expansion."""
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])

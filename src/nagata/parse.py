@@ -14,7 +14,8 @@ Grammar (whitespace-insensitive):
 Implicit multiplication ("2y") is rejected; "*" is required.  Exponents
 are nonnegative integer literals and coefficients are exact rationals
 written with "/" (no decimal notation).  Parentheses nest at most 100
-deep; deeper input is a ParseError rather than a stack overflow.
+deep; deeper input is a ParseError rather than a stack overflow.  A
+numeral has at most 1000 digits.
 Positions in error messages are 1-based character offsets; end-of-input
 is reported at the last character of the text.  The canonical printed
 form of a polynomial is ``str(poly)``, which always re-parses.
@@ -59,7 +60,13 @@ class _Token:
 _DIGITS = frozenset("0123456789")
 
 
-def _tokenize(text: str) -> list[_Token]:
+# int() refuses more than 4300 digits (sys.get_int_max_str_digits), and
+# printing refuses them too; longer numerals are a ParseError instead.
+_MAX_DIGITS = 1000
+
+
+def _tokenize(text: str, offset: int) -> list[_Token]:
+    """Tokens of text, whose positions are 1-based and shifted by offset."""
     tokens: list[_Token] = []
     i, n = 0, len(text)
     while i < n:
@@ -67,11 +74,13 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        pos = i + 1
+        pos = offset + i + 1
         if c in _DIGITS:
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
+            if j - i > _MAX_DIGITS:
+                raise ParseError(f"numeral longer than {_MAX_DIGITS} digits", pos)
             tokens.append(_Token("number", text[i:j], pos))
             i = j
         elif c.isalpha():
@@ -86,7 +95,7 @@ def _tokenize(text: str) -> list[_Token]:
         else:
             raise ParseError(f"unexpected character {c!r}", pos)
     # clamp end-of-input to the last character so truncated input points there
-    tokens.append(_Token("end", "", max(1, n)))
+    tokens.append(_Token("end", "", offset + max(1, n)))
     return tokens
 
 
@@ -98,8 +107,8 @@ _MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, text: str, names: tuple[str, ...]):
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, names: tuple[str, ...], offset: int = 0):
+        self.tokens = _tokenize(text, offset)
         self.pos = 0
         self.names = names
         self.nesting = 0

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .maps import pde_residual
 from .poly import Exponent, Poly, RING3, T1, T2, expand_bivariate
 
 DEGREE_BOUND = 100
@@ -35,19 +34,6 @@ DEGREE_BOUND = 100
 class SolutionBasis:
     degree: int
     elements: tuple[Poly, ...]
-
-
-@dataclass(frozen=True)
-class ComponentResidual:
-    """Residual of one homogeneous component of a polynomial."""
-
-    degree: int
-    component: Poly
-    residual: Poly
-
-    @property
-    def is_solution(self) -> bool:
-        return self.residual.is_zero()
 
 
 @dataclass(frozen=True)
@@ -94,18 +80,6 @@ def solution_basis(d: int) -> SolutionBasis:
         expand_bivariate(T1 ** k1 * T2 ** k2) for k1, k2 in invariant_monomials(d)
     )
     return SolutionBasis(degree=d, elements=elements)
-
-
-def check_homogeneous_split(phi: Poly) -> tuple[ComponentResidual, ...]:
-    """Residual of each homogeneous component of phi.
-
-    Because the residual operator has homogeneous coefficients of one
-    degree, phi solves the equation iff every component does.
-    """
-    return tuple(
-        ComponentResidual(degree=d, component=comp, residual=pde_residual(comp))
-        for d, comp in phi.homogeneous_components()
-    )
 
 
 def degree_monomials(d: int) -> list[Exponent]:

@@ -189,6 +189,37 @@ class TestErrorsAndReproducibility:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nested deeper than 100" in err
 
+    def test_long_numeral_exits_two(self, capsys):
+        code, out, err = invoke(capsys, "analyze", "1" * 5000)
+        assert code == 2
+        assert out == ""
+        assert err == "error: numeral longer than 1000 digits at position 1\n"
+
+    @pytest.mark.parametrize("outer, position", [
+        ("x, y, z+", 8),
+        ("x, y+, z", 5),
+        ("x,  y*y, 2z", 11),
+        ("x^2 + 1, (y, z", 11),  # end of the second part, at its "y"
+    ])
+    def test_compose_error_position_is_within_the_argument(self, capsys, outer, position):
+        # the position of the offending character in the whole argument
+        code, out, err = invoke(capsys, "compose", outer, "x, y, z")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f" at position {position}" in err
+
+    @pytest.mark.parametrize("inner, name, position", [
+        ("x, t1, z", "t1", 4),
+        ("x, y, z + w", "w", 11),
+    ])
+    def test_compose_unknown_identifier_position(self, capsys, inner, name, position):
+        code, out, err = invoke(capsys, "compose", "x, y, z", inner)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: unknown identifier {name!r} at position {position} "
+                       "(expected x, y, z)\n")
+
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run(["frobnicate"]) == 2
 

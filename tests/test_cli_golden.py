@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from nagata import jacobian_report, parse_poly3, pde_residual
 from nagata.cli import run
 
 WILD = [
@@ -116,3 +117,15 @@ def test_cli_output_unchanged(capsys, index):
     assert (code, _digest(captured.out), _digest(captured.err)) == (
         entry["code"], entry["stdout"], entry["stderr"]
     ), entry["argv"]
+
+
+@pytest.mark.parametrize("text", WILD + TAME + UNKNOWN + SPOILED)
+def test_analyze_determinant_is_the_cofactor_determinant(capsys, text):
+    # analyze prints 1 + residual; the cofactor expansion of jacobian_report
+    # is the independent check of that identity
+    phi = parse_poly3(text)
+    determinant = jacobian_report(phi).determinant
+    assert determinant == 1 + pde_residual(phi)
+    run(["analyze", text, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["jacobian_determinant"] == str(determinant)

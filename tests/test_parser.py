@@ -99,6 +99,22 @@ class TestErrors:
             parse_poly3("(" * 101 + "x" + ")" * 101)
         assert info.value.position == 101
 
+    def test_numeral_at_the_digit_cap_parses(self):
+        assert parse_poly3("1" * 1000 + "*x") == int("1" * 1000) * X
+        assert parse_poly2("t1 + 1/" + "9" * 1000) == T1 + Fraction(1, int("9" * 1000))
+
+    @pytest.mark.parametrize("text, position", [
+        ("1" * 1001, 1),
+        ("1" * 5000, 1),
+        ("x + 2/" + "3" * 1001, 7),
+        ("x^" + "7" * 1001, 3),
+    ], ids=["1001-digits", "5000-digits", "denominator", "exponent"])
+    def test_numeral_beyond_the_digit_cap_rejected(self, text, position):
+        # before the cap, int() raised a plain ValueError past 4300 digits
+        with pytest.raises(ParseError, match="numeral longer than 1000 digits") as info:
+            parse_poly3(text)
+        assert info.value.position == position
+
     @pytest.mark.parametrize("text, position", [("x^\u00b2", 3), ("\u0663*x", 1)])
     def test_non_ascii_digits_rejected(self, text, position):
         # "²" passes str.isdigit but not int(); "٣" passes both

@@ -15,7 +15,6 @@ from nagata import (
     X,
     Y,
     Z,
-    check_homogeneous_split,
     degree_monomials,
     expand_bivariate,
     invariant_monomials,
@@ -84,25 +83,27 @@ class TestSolutionBasis:
 
 
 class TestHomogeneousSplit:
+    # the residual operator has homogeneous coefficients of one degree, so
+    # phi solves the equation iff every homogeneous component does
     def test_solution_components(self):
-        report = check_homogeneous_split(PHI + Z ** 3)
-        assert [r.degree for r in report] == [2, 3]
-        assert all(r.is_solution for r in report)
+        split = (PHI + Z ** 3).homogeneous_components()
+        assert [d for d, _ in split] == [2, 3]
+        assert all(pde_residual(comp) == 0 for _, comp in split)
 
     def test_mixed_components(self):
-        report = check_homogeneous_split(X + PHI)
-        assert report[0].component == X
-        assert report[0].residual == -2 * Y
-        assert report[1].component == PHI
-        assert report[1].is_solution
+        split = (X + PHI).homogeneous_components()
+        assert split == [(1, X), (2, PHI)]
+        assert [pde_residual(comp) for _, comp in split] == [-2 * Y, 0]
 
     def test_zero_gives_empty_report(self):
-        assert check_homogeneous_split(Poly.zero(RING3)) == ()
+        assert Poly.zero(RING3).homogeneous_components() == []
 
     @given(poly3s)
     def test_split_equivalence(self, phi):
-        report = check_homogeneous_split(phi)
-        assert (pde_residual(phi) == 0) == all(r.is_solution for r in report)
+        split = phi.homogeneous_components()
+        assert (pde_residual(phi) == 0) == all(
+            pde_residual(comp) == 0 for _, comp in split
+        )
 
 
 class TestKernelOracle:
