@@ -18,6 +18,7 @@ change the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -264,7 +265,9 @@ def _add_json_flag(sub: argparse.ArgumentParser) -> None:
                      help="emit machine-readable JSON on stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``run`` and then reused."""
     parser = argparse.ArgumentParser(
         prog="nagata",
         description="Exact analysis of Nagata-type polynomial maps of Q[x,y,z].",
@@ -275,36 +278,30 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "representative, classification, exponent")
     s.add_argument("phi", help="polynomial in x, y, z, e.g. 'x*z + y^2'")
     _add_json_flag(s)
-    s.set_defaults(handler=_cmd_analyze)
 
     s = sub.add_parser("invert", help="explicit inverse of the map built from p(t1, t2)")
     s.add_argument("p", help="polynomial in t1, t2")
     _add_json_flag(s)
-    s.set_defaults(handler=_cmd_invert)
 
     s = sub.add_parser("compose", help="compose two endomorphisms (outer after inner)")
     s.add_argument("outer", help="three comma-separated polynomials in x, y, z")
     s.add_argument("inner", help="three comma-separated polynomials in x, y, z")
     _add_json_flag(s)
-    s.set_defaults(handler=_cmd_compose)
 
     s = sub.add_parser("classify", help="NotAutomorphism / WildAutomorphism / "
                                         "TameAutomorphism / AutomorphismTamenessUnknown")
     s.add_argument("phi")
     _add_json_flag(s)
-    s.set_defaults(handler=_cmd_classify)
 
     s = sub.add_parser("basis", help="closed-form basis of homogeneous solutions "
                                      "of the residual equation in one degree")
     s.add_argument("degree", type=int, help=f"0 to {DEGREE_BOUND}")
     _add_json_flag(s)
-    s.set_defaults(handler=_cmd_basis)
 
     s = sub.add_parser("oracle", help="exact kernel of the residual map in one degree, "
                                       "plus a span check against the closed-form basis")
     s.add_argument("degree", type=int, help=f"0 to {DEGREE_BOUND}")
     _add_json_flag(s)
-    s.set_defaults(handler=_cmd_oracle)
 
     s = sub.add_parser("loj", help="Lojasiewicz exponent at infinity; with a second "
                                    "argument, compare against a deformation")
@@ -312,12 +309,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("p_s", nargs="?", default=None,
                    help="deformation with supp(p) contained in supp(p_s)")
     _add_json_flag(s)
-    s.set_defaults(handler=_cmd_loj)
 
     s = sub.add_parser("decompose", help="recover p with phi = p(x*z + y^2, z), if it exists")
     s.add_argument("phi")
     _add_json_flag(s)
-    s.set_defaults(handler=_cmd_decompose)
 
     s = sub.add_parser("random", help="reproducible random p and its full analysis")
     s.add_argument("--dvmax", type=int, default=6,
@@ -325,22 +320,22 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"0 to {DVMAX_BOUND} (default 6)")
     s.add_argument("--seed", type=int, default=0)
     _add_json_flag(s)
-    s.set_defaults(handler=_cmd_random)
 
     return parser
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has already printed the message
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        code, payload, lines = args.handler(args)
+        # the handler is looked up by name at call time, not held by the
+        # cached parser, so a replaced _cmd_* function is the one that runs
+        code, payload, lines = globals()[f"_cmd_{args.command}"](args)
     except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,10 @@ Implicit multiplication ("2y") is rejected; "*" is required.  Exponents
 are nonnegative integer literals and coefficients are exact rationals
 written with "/" (no decimal notation).  Parentheses nest at most 100
 deep; deeper input is a ParseError rather than a stack overflow.  A
-numeral has at most 1000 digits.
+numeral has at most 1000 digits.  Each "^" and "*" estimates the size of
+its result before expanding it; one that may have more than 1000 terms,
+a coefficient above 2^4096, more than 2^18 coefficient bits in all or a
+degree of more than 1000 digits is a ParseError at the operator.
 Positions in error messages are 1-based character offsets; end-of-input
 is reported at the last character of the text.  The canonical printed
 form of a polynomial is ``str(poly)``, which always re-parses.
@@ -23,10 +26,11 @@ form of a polynomial is ``str(poly)``, which always re-parses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, RING2, RING3
+from .poly import Exponent, Poly, RING2, RING3
 
 
 class ParseError(ValueError):
@@ -99,6 +103,100 @@ def _tokenize(text: str, offset: int) -> list[_Token]:
     return tokens
 
 
+# Limits on the estimated result of one "^" or "*", with coefficient sizes
+# in bits (ceil(log2) of the numerator or denominator).  The largest
+# operations in the tests, the golden corpus and re-parsed `random --dvmax
+# 20` output have at most 4 terms and 3319 bits (a numeral at the digit cap
+# times x).  2^4096 prints in 1234 digits, so the inverse's phi^2 stays
+# within Python's 4300-digit limit for printing an integer.  The size limit
+# (terms times bits) keeps the slowest power within the limits,
+# (1/2*x+1/3)^295, under half a second; Fraction arithmetic is ten times
+# slower than int.
+_MAX_TERMS = 1000
+_MAX_BITS = 4096
+_MAX_SIZE = 2 ** 18
+# a degree prints like a numeral, so it has at most _MAX_DIGITS digits too
+_MAX_DEGREE = 10 ** _MAX_DIGITS - 1
+
+
+def _shape(p: Poly) -> tuple[int, int, int, Exponent]:
+    """(k, top, den, degrees) of a nonzero p: its k terms, its degree in
+    each variable, and den*p has integer coefficients of absolute value at
+    most top."""
+    terms = list(p.terms())
+    if len(terms) == 1:
+        (exp, c), = terms
+        return 1, abs(c.numerator), c.denominator, exp
+    den = math.lcm(*(c.denominator for _, c in terms))
+    top = max(abs(c.numerator) * (den // c.denominator) for _, c in terms)
+    return len(terms), top, den, tuple(map(max, zip(*(e for e, _ in terms))))
+
+
+def _check_degree(tok: _Token, degree: int) -> None:
+    if degree > _MAX_DEGREE:
+        raise ParseError(f"'{tok.kind}' may give a degree of more than {_MAX_DIGITS} "
+                         "digits", tok.position)
+
+
+def _check_bits(tok: _Token, bits: int) -> None:
+    if bits > _MAX_BITS:
+        raise ParseError(f"'{tok.kind}' may give a coefficient above 2^{_MAX_BITS}",
+                         tok.position)
+
+
+def _check_size(tok: _Token, terms: int, bits: int) -> None:
+    if terms > _MAX_TERMS:
+        raise ParseError(f"'{tok.kind}' may give more than {_MAX_TERMS} terms",
+                         tok.position)
+    if terms * bits > _MAX_SIZE:
+        raise ParseError(f"'{tok.kind}' may give more than {_MAX_SIZE} coefficient "
+                         "bits in all", tok.position)
+
+
+def _check_power(tok: _Token, base: Poly, n: int) -> None:
+    """Refuse a nonzero base**n whose estimated size is over a limit.
+
+    Its coefficients have numerators at most (k*top)^n and denominators at
+    most den^n.  Its terms are at most the multisets of n base terms, the
+    monomials up to degree n*deg(base), and the box of per-variable degrees.
+    A monomial base, or n <= 1, gives at most k terms, which is no growth.
+    """
+    k, top, den, degrees = _shape(base)
+    degree = n * base.total_degree()
+    _check_degree(tok, degree)
+    bits = n * (max(k * top, den) - 1).bit_length()
+    # bits first: the multiset count is costly for a huge n
+    _check_bits(tok, bits)
+    if k > 1 and n > 1:
+        nv = len(base.vars)
+        _check_size(tok, min(math.comb(n + k - 1, k - 1),
+                             math.comb(degree + nv, nv),
+                             math.prod(n * d + 1 for d in degrees)), bits)
+
+
+def _check_product(tok: _Token, a: Poly, b: Poly) -> None:
+    """Refuse a nonzero a*b whose estimated size is over a limit.
+
+    Its coefficients have numerators at most min(ka, kb)*top_a*top_b and
+    denominators at most den_a*den_b.  Its terms are at most the ka*kb
+    pairs, the monomials up to degree deg(a) + deg(b), and the box of
+    per-variable degree sums.  A monomial factor gives as many terms as the
+    other factor, which is no growth.
+    """
+    ka, top_a, den_a, degrees_a = _shape(a)
+    kb, top_b, den_b, degrees_b = _shape(b)
+    degree = a.total_degree() + b.total_degree()
+    _check_degree(tok, degree)
+    bits = (max(min(ka, kb) * top_a * top_b, den_a * den_b) - 1).bit_length()
+    _check_bits(tok, bits)
+    if ka > 1 and kb > 1:
+        nv = len(a.vars)
+        _check_size(tok, min(ka * kb,
+                             math.comb(degree + nv, nv),
+                             math.prod(da + db + 1 for da, db in zip(degrees_a, degrees_b))),
+                    bits)
+
+
 _BASE_STARTS = frozenset({"number", "variable", "'('"})
 
 # Each level of parentheses costs four stack frames (base, expr, term,
@@ -143,8 +241,11 @@ class _Parser:
     def term(self) -> Poly:
         value = self.factor()
         while self.peek().kind == "*":
-            self.advance()
-            value = value * self.factor()
+            tok = self.advance()
+            rhs = self.factor()
+            if value and rhs:
+                _check_product(tok, value, rhs)
+            value = value * rhs
         return value
 
     def factor(self) -> Poly:
@@ -156,10 +257,13 @@ class _Parser:
             raise self.fail(_BASE_STARTS | {"'-'"})
         value = self.base()
         if self.peek().kind == "^":
-            self.advance()
+            tok = self.advance()
             if self.peek().kind != "number":
                 raise self.fail(frozenset({"number"}))
-            value = value ** int(self.advance().text)
+            n = int(self.advance().text)
+            if value:
+                _check_power(tok, value, n)
+            value = value ** n
         return -value if negate else value
 
     def base(self) -> Poly:

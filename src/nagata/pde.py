@@ -21,9 +21,9 @@ without bound (the oracle's dense kernel vectors grow as d^3).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .poly import Exponent, Poly, RING3, T1, T2, expand_bivariate
 

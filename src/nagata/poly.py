@@ -23,8 +23,9 @@ terms form a prefix, so leading-form extraction is a prefix scan.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]

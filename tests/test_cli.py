@@ -195,6 +195,27 @@ class TestErrorsAndReproducibility:
         assert out == ""
         assert err == "error: numeral longer than 1000 digits at position 1\n"
 
+    @pytest.mark.parametrize("phi, line", [
+        ("9^5000", "'^' may give a coefficient above 2^4096 at position 2"),
+        ("(x+1)^99999", "'^' may give a coefficient above 2^4096 at position 6"),
+        ("(x+y+z+1)^17", "'^' may give more than 1000 terms at position 10"),
+        ("2^4096*2", "'*' may give a coefficient above 2^4096 at position 7"),
+        ("((z^" + "9" * 999 + ")^" + "9" * 999 + ")^9",
+         "'^' may give a degree of more than 1000 digits at position 1005"),
+    ], ids=["9^5000", "binomial", "trinomial-terms", "product", "degree"])
+    def test_oversized_power_or_product_exits_two(self, capsys, phi, line):
+        # before the size check, "9^5000" parsed and then failed to print
+        # (Python's 4300-digit limit) with no position, and so did a degree
+        # of more than 4300 digits
+        assert invoke(capsys, "analyze", phi) == (2, "", f"error: {line}\n")
+
+    def test_power_at_the_bit_limit_prints(self, capsys):
+        # the inverse holds phi^2, a coefficient of 8193 bits (2467 digits)
+        code, doc, err = invoke_json(capsys, "analyze", "2^4096")
+        assert code == 0 and err == ""
+        assert doc["phi"] == str(2 ** 4096)
+        assert doc["inverse"]["f"] == f"x + {2 ** 4097}*y - {2 ** 8192}*z"
+
     @pytest.mark.parametrize("outer, position", [
         ("x, y, z+", 8),
         ("x, y+, z", 5),
@@ -302,3 +323,52 @@ class TestClosedStdout:
             os.close(write_end)
         assert done.returncode == expected
         assert done.stderr == b""
+
+
+class TestOneParserPerProcess:
+    """run builds its argparse parser once per process, on the first call,
+    and reuses it; the handler is looked up by command name at call time."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_does_not_build_the_parser(self):
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import nagata.cli as c; print(c._build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.stdout == "0\n"
+
+    def test_optional_positional_does_not_leak(self, capsys):
+        code, out, _ = invoke(capsys, "loj", "t1*t2", "t1*t2 + t1")
+        assert code == 0 and out.startswith("base exponent: ")
+        assert invoke(capsys, "loj", "t1*t2") == (
+            0, "phi degree: 3\ninverse degree: 7\nlojasiewicz exponent: 1/7\n", "")
+
+    def test_option_defaults_do_not_leak(self, capsys):
+        code, doc, _ = invoke_json(capsys, "random", "--seed", "5", "--dvmax", "4")
+        assert code == 0 and (doc["seed"], doc["dvmax"]) == (5, 4)
+        code, doc, _ = invoke_json(capsys, "random")
+        assert code == 0 and (doc["seed"], doc["dvmax"]) == (0, 6)
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], 2),
+        (["frobnicate"], 2),
+        (["oracle"], 2),
+        (["oracle", "x"], 2),
+        (["--help"], 0),
+        (["analyze", "-h"], 0),
+    ], ids=["no-subcommand", "unknown-subcommand", "oracle", "oracle-x", "help",
+            "analyze-h"])
+    def test_argparse_exits_repeat_and_match_a_fresh_parser(self, capsys, argv, expected):
+        first = invoke(capsys, *argv)
+        second = invoke(capsys, *argv)
+        with pytest.raises(SystemExit) as info:
+            cli._build_parser.__wrapped__().parse_args(argv)
+        captured = capsys.readouterr()
+        fresh = (info.value.code, captured.out, captured.err)
+        assert first == second == fresh
+        assert first[0] == expected
+        assert first[1 if expected == 0 else 2].startswith("usage: nagata")

@@ -1,3 +1,4 @@
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from nagata import (
     ParseError,
     Poly,
+    RING3,
     T1,
     T2,
     UnknownIdentifierError,
@@ -125,14 +127,114 @@ class TestErrors:
     @given(st.text(st.characters(codec="utf-8").filter(str.isprintable), max_size=60))
     @settings(max_examples=300)
     def test_printable_text_parses_or_raises_parse_error(self, text):
-        # Literal exponents are not capped yet: "9^9999999" runs without
-        # bound.  Random text this short practically never contains one.
         for parse in (parse_poly3, parse_poly2):
             try:
                 result = parse(text)
             except ParseError:
                 continue
             assert isinstance(result, Poly)
+
+
+class TestSizeLimits:
+    """Each "^" and "*" estimates its result and refuses, at the operator,
+    one that may have more than 1000 terms, a coefficient above 2^4096,
+    more than 2^18 coefficient bits in all or a degree of more than 1000
+    digits."""
+
+    @pytest.mark.parametrize("text, position", [
+        ("9^9999999", 2),
+        ("9^5000", 2),
+        ("2^4097", 2),
+        ("3^2049", 2),
+        ("(1/3)^2049", 6),
+        ("(x+1)^99999", 6),
+        ("x*(x+1)^4097", 8),
+        ("2^4096*2", 7),
+        ("(2^4096*x)*(y+2)", 11),
+        ("9" * 1000 + "*" + "9" * 1000, 1001),
+    ])
+    def test_coefficient_over_the_bit_limit_rejected(self, text, position):
+        with pytest.raises(ParseError, match=r"coefficient above 2\^4096") as info:
+            parse_poly3(text)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("text, position", [
+        ("(x+y+z+1)^17", 10),
+        ("(x+1)^1000", 6),
+        ("((x+1)^10 + (y+1)^10 + (z+1)^10)^3", 33),
+        ("(x+1)^40*(y+1)^40", 9),
+        ("(x+y+z)^9*(x+y+z)^9", 10),
+    ])
+    def test_term_count_over_the_limit_rejected(self, text, position):
+        with pytest.raises(ParseError, match="more than 1000 terms") as info:
+            parse_poly3(text)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("text, position", [
+        ("(x+1)^512", 6),
+        ("(1/2*x + 1/3)^296", 14),
+        ("(x+y+z+2^200)^16", 14),
+    ])
+    def test_total_size_over_the_limit_rejected(self, text, position):
+        with pytest.raises(ParseError, match="more than 262144 coefficient bits in all") as info:
+            parse_poly3(text)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("text, position", [
+        ("(x^" + "9" * 999 + ")^" + "9" * 999, 1004),
+        ("x^" + "9" * 1000 + "*x", 1003),
+        ("(y*z)^" + "5" * 1000, 6),
+    ], ids=["power-of-power", "product", "two-variables"])
+    def test_degree_over_the_limit_rejected(self, text, position):
+        # a degree prints as a numeral; more than 4300 digits would not print
+        with pytest.raises(ParseError, match="degree of more than 1000 digits") as info:
+            parse_poly3(text)
+        assert info.value.position == position
+
+    def test_bivariate_term_count_over_the_limit_rejected(self):
+        assert len(list(parse_poly2("(t1+t2+1)^43").terms())) == 990
+        with pytest.raises(ParseError, match="more than 1000 terms") as info:
+            parse_poly2("(t1+t2+1)^44")
+        assert info.value.position == 10
+
+    def test_powers_at_the_limits_parse(self):
+        assert parse_poly3("2^4096") == 2 ** 4096
+        assert parse_poly3("(1/3)^2048") == Fraction(1, 3 ** 2048)
+        assert parse_poly3("2^4096*x") == 2 ** 4096 * X
+        assert len(list(parse_poly3("(x+y+z+1)^16").terms())) == 969
+        assert len(list(parse_poly3("(x+1)^511").terms())) == 512
+        assert len(list(parse_poly3("(x+1)^40*(x+1)^40").terms())) == 81
+        assert parse_poly3("(x+y+z)^8*(x+y+z)^0") == (X + Y + Z) ** 8
+
+    def test_monomials_and_zero_are_not_limited(self):
+        # a monomial power or factor cannot add terms, and 0^n is 0
+        huge = "9" * 1000
+        assert parse_poly3(f"x^{huge}") == Poly(RING3, {(int(huge), 0, 0): 1})
+        assert parse_poly3(f"(-y)^{huge}") == -Poly(RING3, {(0, int(huge), 0): 1})
+        assert parse_poly3(f"(z^{huge[1:]})^10") == Poly(RING3, {(0, 0, int(huge) - 9): 1})
+        assert parse_poly3(f"(x - x)^{huge}") == 0
+        assert parse_poly3(f"0^{huge}*(x+1)") == 0
+        long_sum = " + ".join(f"x^{i}" for i in range(1001))
+        assert len(list(parse_poly3(f"({long_sum})*y").terms())) == 1001
+        assert len(list(parse_poly3(f"({long_sum})^1").terms())) == 1001
+
+    @given(
+        st.sampled_from(["{b}^{n}", "({b}^{n})^2", "({b}^{n})^{n}", "{b}^{n}*x",
+                         "{b}^{n}*(y+1)^{n}", "{b}^{n}*(x+y+z+1)^9"]),
+        st.sampled_from(["x", "9", "1/2", "-3", "(x+1)", "(x - 2*y)", "(x+y+z+1)",
+                         "(2*x*z - 3)", "(1/2*y + 1/3)"]),
+        st.one_of(st.integers(0, 3000), st.integers(0, 10 ** 30)),
+    )
+    @settings(max_examples=150, deadline=timedelta(seconds=3))
+    def test_large_powers_parse_or_raise_parse_error(self, template, base, n):
+        # small bases, large exponents: each text parses or is refused
+        # within the deadline (before the limits, 9^N with a 30-digit N
+        # never returned)
+        try:
+            result = parse_poly3(template.format(b=base, n=n))
+        except ParseError:
+            return
+        assert isinstance(result, Poly)
 
 
 class TestPrinting:
