@@ -123,7 +123,7 @@ def _shape(p: Poly) -> tuple[int, int, int, Exponent]:
     """(k, top, den, degrees) of a nonzero p: its k terms, its degree in
     each variable, and den*p has integer coefficients of absolute value at
     most top."""
-    terms = list(p.terms())
+    terms = list(p._coeffs.items())
     if len(terms) == 1:
         (exp, c), = terms
         return 1, abs(c.numerator), c.denominator, exp
@@ -232,11 +232,16 @@ class _Parser:
 
     def expr(self) -> Poly:
         value = self.term()
-        while self.peek().kind in "+-":
-            op = self.advance().kind
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        if self.peek().kind not in ("+", "-"):
+            return value
+        # the signed terms go into one dict, so a sum costs time linear
+        # in its length rather than a copy of the sum so far per "+"
+        acc = dict(value._coeffs)
+        while self.peek().kind in ("+", "-"):
+            sign = 1 if self.advance().kind == "+" else -1
+            for e, c in self.term()._coeffs.items():
+                acc[e] = acc.get(e, 0) + sign * c
+        return Poly._raw(self.names, acc)
 
     def term(self) -> Poly:
         value = self.factor()

@@ -15,10 +15,17 @@ coefficients are stored as plain ints and promoted to Fraction only when
 a denominator appears; the two types agree under ==, hash and
 arithmetic, so this is purely a speed matter.
 
+A Poly keeps its terms in a dict from exponent tuple to coefficient, in
+no particular order.  Arithmetic, substitution, equality and the degree
+and leading-form queries read the dict and never sort.  The canonical
+term order is applied only where order is observed: terms(), str() and
+the hash of a non-constant polynomial sort the terms on first use and
+cache the sorted tuple (filling the cache twice gives the same tuple, so
+values stay safe to share).
+
 Canonical term order: graded reverse-lexicographic, printed highest
 first (total degree descending; within a degree x before y before z and
-t1 before t2, e.g. "y^2 + x*z" and "x + y + z").  The maximal-degree
-terms form a prefix, so leading-form extraction is a prefix scan.
+t1 before t2, e.g. "y^2 + x*z" and "x + y + z").
 """
 
 from __future__ import annotations
@@ -75,15 +82,28 @@ def _term_key(term: tuple[Exponent, Scalar]) -> tuple[int, Exponent]:
     return (-sum(exp), exp[::-1])
 
 
+def _normalized(acc: dict[Exponent, Scalar]) -> dict[Exponent, Scalar]:
+    # type() rather than isinstance: Fraction's ABC metaclass makes
+    # isinstance(c, Fraction) slow for the common int coefficient
+    return {
+        e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for e, c in acc.items()
+        if c
+    }
+
+
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients.
 
     Construct from a mapping (or iterable of pairs) of exponent tuples to
     coefficients; duplicate exponents are summed, zero coefficients are
-    dropped, so equal values always have equal term tuples.
+    dropped and integral coefficients are stored as int, so equal values
+    always have equal term dicts.
     """
 
-    __slots__ = ("vars", "_terms")
+    # _coeffs: exponent -> nonzero coefficient; _ordered: the canonical
+    # term tuple, None until terms(), str() or hash() first needs it
+    __slots__ = ("vars", "_coeffs", "_ordered")
 
     def __init__(self, vars: Sequence[str], terms=()):  # noqa: A002 - domain term
         names = tuple(vars)
@@ -93,29 +113,20 @@ class Poly:
             exp = tuple(exp)
             if len(exp) != len(names) or not all(isinstance(e, int) and e >= 0 for e in exp):
                 raise ValueError(f"bad exponent {exp!r} for variables {names!r}")
-            c = _as_coeff(coeff)
-            if c:
-                acc[exp] = acc.get(exp, 0) + c
+            acc[exp] = acc.get(exp, 0) + _as_coeff(coeff)
         self.vars = names
-        self._terms = tuple(
-            sorted(((e, c) for e, c in acc.items() if c), key=_term_key)
-        )
+        self._coeffs = _normalized(acc)
+        self._ordered = None
 
     @classmethod
     def _raw(cls, names: tuple[str, ...], acc: dict[Exponent, Scalar]) -> "Poly":
         """Internal constructor for arithmetic results: the exponents are
         known to be valid and the coefficients exact, so only zero
-        filtering, int normalization and sorting remain."""
+        filtering and int normalization remain."""
         poly = cls.__new__(cls)
         poly.vars = names
-        poly._terms = tuple(sorted(
-            (
-                (e, c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c)
-                for e, c in acc.items()
-                if c
-            ),
-            key=_term_key,
-        ))
+        poly._coeffs = _normalized(acc)
+        poly._ordered = None
         return poly
 
     # -- constructors ---------------------------------------------------
@@ -139,32 +150,34 @@ class Poly:
 
     # -- basic structure ------------------------------------------------
 
+    def _canonical(self) -> tuple[tuple[Exponent, Scalar], ...]:
+        ordered = self._ordered
+        if ordered is None:
+            ordered = self._ordered = tuple(sorted(self._coeffs.items(), key=_term_key))
+        return ordered
+
     def terms(self) -> Iterator[tuple[Exponent, Scalar]]:
         """Yield (exponent, coefficient) pairs in canonical order."""
-        return iter(self._terms)
+        return iter(self._canonical())
 
     def support(self) -> frozenset[Exponent]:
-        return frozenset(e for e, _ in self._terms)
+        return frozenset(self._coeffs)
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
-        exp = tuple(exp)
-        for e, c in self._terms:
-            if e == exp:
-                return Fraction(c)
-        return Fraction(0)
+        return Fraction(self._coeffs.get(tuple(exp), 0))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e, _ in self._terms)
+        return all(not any(e) for e in self._coeffs)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")
-        return Fraction(self._terms[0][1])
+        return Fraction(next(iter(self._coeffs.values())))
 
     # -- ring arithmetic --------------------------------------------------
 
@@ -183,8 +196,8 @@ class Poly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out: dict[Exponent, Scalar] = dict(self._terms)
-        for e, c in q._terms:
+        out: dict[Exponent, Scalar] = dict(self._coeffs)
+        for e, c in q._coeffs.items():
             out[e] = out.get(e, 0) + c
         return Poly._raw(self.vars, out)
 
@@ -194,8 +207,8 @@ class Poly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out: dict[Exponent, Scalar] = dict(self._terms)
-        for e, c in q._terms:
+        out: dict[Exponent, Scalar] = dict(self._coeffs)
+        for e, c in q._coeffs.items():
             out[e] = out.get(e, 0) - c
         return Poly._raw(self.vars, out)
 
@@ -203,29 +216,33 @@ class Poly:
         return (-self) + other
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.vars, {e: -c for e, c in self._terms})
+        return Poly._raw(self.vars, {e: -c for e, c in self._coeffs.items()})
 
     def __mul__(self, other) -> "Poly":
+        if not isinstance(other, Poly) and isinstance(other, (int, Fraction)):
+            # a scalar scales the coefficients; no constant Poly is built
+            return Poly._raw(self.vars, {e: c * other for e, c in self._coeffs.items()})
         q = self._coerce(other)
         if q is None:
             return NotImplemented
         out: dict[Exponent, Scalar] = {}
         get = out.get
+        terms_a, terms_b = self._coeffs.items(), q._coeffs.items()
         # the exponent addition is the hottest loop in the package, so the
         # two fixed arities are unrolled
         if len(self.vars) == 3:
-            for (a0, a1, a2), ca in self._terms:
-                for (b0, b1, b2), cb in q._terms:
+            for (a0, a1, a2), ca in terms_a:
+                for (b0, b1, b2), cb in terms_b:
                     e = (a0 + b0, a1 + b1, a2 + b2)
                     out[e] = get(e, 0) + ca * cb
         elif len(self.vars) == 2:
-            for (a0, a1), ca in self._terms:
-                for (b0, b1), cb in q._terms:
+            for (a0, a1), ca in terms_a:
+                for (b0, b1), cb in terms_b:
                     e = (a0 + b0, a1 + b1)
                     out[e] = get(e, 0) + ca * cb
         else:
-            for ea, ca in self._terms:
-                for eb, cb in q._terms:
+            for ea, ca in terms_a:
+                for eb, cb in terms_b:
                     e = tuple(i + j for i, j in zip(ea, eb))
                     out[e] = get(e, 0) + ca * cb
         return Poly._raw(self.vars, out)
@@ -237,33 +254,33 @@ class Poly:
             raise TypeError("polynomial exponent must be an integer")
         if n < 0:
             raise ValueError("polynomial exponent must be nonnegative")
-        result = Poly.constant(self.vars, 1)
+        if n == 0:
+            return Poly.constant(self.vars, 1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.vars == other.vars and self._terms == other._terms
+            return self.vars == other.vars and self._coeffs == other._coeffs
         if isinstance(other, (int, Fraction)):
-            if not self._terms:
-                return other == 0
-            return self.is_constant() and self._terms[0][1] == other
+            return self.is_constant() and next(iter(self._coeffs.values()), 0) == other
         return NotImplemented
 
     def __hash__(self) -> int:
         # constants hash like their value, so p == 5 implies equal hashes
         if self.is_constant():
             return hash(self.constant_value())
-        return hash((self.vars, self._terms))
+        return hash((self.vars, self._canonical()))
 
     # -- calculus and evaluation ------------------------------------------
 
@@ -273,7 +290,7 @@ class Poly:
             raise ValueError(f"unknown variable {var!r}; ring has {self.vars!r}")
         i = self.vars.index(var)
         out: dict[Exponent, Scalar] = {}
-        for exp, coeff in self._terms:
+        for exp, coeff in self._coeffs.items():
             if exp[i]:
                 e = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
                 out[e] = out.get(e, 0) + coeff * exp[i]
@@ -298,9 +315,10 @@ class Poly:
         for v in values:
             if not isinstance(v, Poly) or v.vars != target:
                 raise ValueError("substituted values must share one polynomial ring")
-        if not self._terms:
+        if not self._coeffs:
             return Poly.zero(target)
         nvars = len(self.vars)
+        zero = (0,) * len(target)
         power_cache: list[dict[int, Poly]] = [{} for _ in values]
 
         def power(i: int, n: int) -> Poly:
@@ -312,7 +330,7 @@ class Poly:
 
         def emit(terms: list[tuple[Exponent, Scalar]], i: int) -> Poly:
             if i == nvars:
-                return Poly.constant(target, sum(c for _, c in terms))
+                return Poly._raw(target, {zero: sum(c for _, c in terms)})
             buckets: dict[int, list[tuple[Exponent, Scalar]]] = {}
             for term in terms:
                 buckets.setdefault(term[0][i], []).append(term)
@@ -326,7 +344,7 @@ class Poly:
                 acc = acc * power(i, prev)
             return acc
 
-        return emit(list(self._terms), 0)
+        return emit(list(self._coeffs.items()), 0)
 
     def evaluate(self, *point: Scalar) -> Fraction:
         """Exact value at a rational point, one coordinate per variable."""
@@ -334,7 +352,7 @@ class Poly:
             raise ValueError(f"evaluate needs {len(self.vars)} coordinates")
         coords = [_as_coeff(v) for v in point]
         total = 0
-        for exp, coeff in self._terms:
+        for exp, coeff in self._coeffs.items():
             term = coeff
             for v, e in zip(coords, exp):
                 if e:
@@ -345,24 +363,24 @@ class Poly:
     # -- degrees and leading forms -----------------------------------------
 
     def total_degree(self) -> "int | _NegInfinity":
-        if not self._terms:
+        if not self._coeffs:
             return NEG_INFINITY
-        # canonical order is degree-descending, so the first term is maximal
-        return sum(self._terms[0][0])
+        return max(map(sum, self._coeffs))
 
     def weighted_degree(self, weights: Sequence[int]) -> "int | _NegInfinity":
         """Max of <weights, exponent> over the support; NEG_INFINITY for 0."""
         w = _check_weights(weights, len(self.vars))
-        if not self._terms:
+        if not self._coeffs:
             return NEG_INFINITY
-        return max(sum(wi * ei for wi, ei in zip(w, e)) for e, _ in self._terms)
+        return max(sum(wi * ei for wi, ei in zip(w, e)) for e in self._coeffs)
 
     def weighted_leading_form(self, weights: Sequence[int]) -> "Poly":
         """Sum of the terms attaining the weighted degree."""
         w = _check_weights(weights, len(self.vars))
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no leading form")
-        graded = [(sum(wi * ei for wi, ei in zip(w, e)), e, c) for e, c in self._terms]
+        graded = [(sum(wi * ei for wi, ei in zip(w, e)), e, c)
+                  for e, c in self._coeffs.items()]
         top = max(d for d, _, _ in graded)
         return Poly._raw(self.vars, {e: c for d, e, c in graded if d == top})
 
@@ -373,17 +391,17 @@ class Poly:
     def homogeneous_components(self) -> list[tuple[int, "Poly"]]:
         """Nonzero homogeneous parts as (degree, component), degree ascending."""
         buckets: dict[int, dict[Exponent, Scalar]] = {}
-        for exp, coeff in self._terms:
+        for exp, coeff in self._coeffs.items():
             buckets.setdefault(sum(exp), {})[exp] = coeff
         return [(d, Poly._raw(self.vars, buckets[d])) for d in sorted(buckets)]
 
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         chunks: list[str] = []
-        for exp, coeff in self._terms:
+        for exp, coeff in self._canonical():
             factors = [
                 v if e == 1 else f"{v}^{e}"
                 for v, e in zip(self.vars, exp)

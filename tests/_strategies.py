@@ -8,12 +8,14 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 nonzero_rationals = rationals.filter(bool)
 
 
+def term_lists(ring, max_exp=3, max_terms=4):
+    """(exponent, coefficient) pairs; exponents may repeat."""
+    exponents = st.tuples(*([st.integers(0, max_exp)] * len(ring)))
+    return st.lists(st.tuples(exponents, nonzero_rationals), max_size=max_terms)
+
+
 def polys(ring, max_exp=3, max_terms=4):
-    nvars = len(ring)
-    exponents = st.tuples(*([st.integers(0, max_exp)] * nvars))
-    return st.lists(
-        st.tuples(exponents, nonzero_rationals), max_size=max_terms
-    ).map(lambda terms: Poly(ring, terms))
+    return term_lists(ring, max_exp, max_terms).map(lambda terms: Poly(ring, terms))
 
 
 poly3s = polys(RING3)

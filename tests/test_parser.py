@@ -1,3 +1,4 @@
+import time
 from datetime import timedelta
 from fractions import Fraction
 
@@ -235,6 +236,20 @@ class TestSizeLimits:
         except ParseError:
             return
         assert isinstance(result, Poly)
+
+
+def test_long_sum_parses_in_one_pass():
+    # signed terms of distinct degrees, and a last term that cancels the first
+    terms = [((i, 0, 0), (i % 5 + 1) * (-1 if i % 3 == 0 else 1)) for i in range(3000)]
+    text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*x^{e[0]}" for e, c in terms) + " + 1"
+    start = time.process_time()
+    value = parse_poly3(text)
+    elapsed = time.process_time() - start
+    assert value == Poly(RING3, terms + [((0, 0, 0), 1)])
+    assert len(list(value.terms())) == 2999
+    # adding the terms one "+" at a time copied the sum so far each time,
+    # which took over 6 s of CPU for this input on a 2-core VM
+    assert elapsed < 1.0
 
 
 class TestPrinting:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from nagata import (
     NEG_INFINITY,
@@ -16,7 +17,7 @@ from nagata import (
     Z,
     expand_bivariate,
 )
-from _strategies import nonzero_poly2s, points3, poly3s
+from _strategies import nonzero_poly2s, points3, poly2s, poly3s, term_lists
 
 PHI = X * Z + Y ** 2
 EXWW = T1 ** 2 - T2 ** 3 + T1 * T2 ** 2
@@ -56,6 +57,10 @@ class TestArithmetic:
             Poly(RING3, {(1, 0, 0): 0.5})
         with pytest.raises(TypeError):
             X.evaluate(0.5, 0, 0)
+        with pytest.raises(TypeError):
+            X * 0.5
+        with pytest.raises(TypeError):
+            0.5 * X
 
     @given(poly3s, poly3s, poly3s)
     def test_ring_axioms(self, p, q, r):
@@ -193,3 +198,97 @@ class TestExpandBivariate:
         lhs = phi.leading_form()
         rhs = expand_bivariate(p.weighted_leading_form((2, 1)))
         assert lhs == rhs
+
+
+def _is_canonical(p):
+    """Graded reverse-lexicographic, highest first: total degree strictly
+    descending, and within a degree the term whose rightmost differing
+    exponent is smaller comes first."""
+    exps = [e for e, _ in p.terms()]
+    for a, b in zip(exps, exps[1:]):
+        if sum(a) == sum(b):
+            differ = [k for k in range(len(a)) if a[k] != b[k]]
+            if not differ or a[differ[-1]] > b[differ[-1]]:
+                return False
+        elif sum(a) < sum(b):
+            return False
+    return True
+
+
+def _results(p, q):
+    """One result of every operation that builds a Poly from p and q."""
+    out = [p + q, p - q, p * q, -p, p ** 0, p ** 1, p ** 2, p ** 3,
+           3 * p, p * Fraction(1, 2), p - 1, 1 - p, p + Fraction(2, 3),
+           p.partial("x"), p.partial("z"),
+           p.substitute(q, p + Y, Z), p.substitute(X, X, X)]
+    out += [comp for _, comp in p.homogeneous_components()]
+    if p:
+        out += [p.leading_form(), p.weighted_leading_form((1, 2, 3))]
+    return out
+
+
+def _value(p):
+    # read through coefficient() and support(), not terms(), so the
+    # snapshot does not depend on the cached canonical order
+    return {e: p.coefficient(e) for e in p.support()}
+
+
+class TestRepresentation:
+    """Terms are kept unordered; order is applied where it is observed."""
+
+    @given(poly3s, poly3s)
+    def test_results_list_terms_in_canonical_order(self, p, q):
+        for r in _results(p, q):
+            assert _is_canonical(r)
+
+    @given(poly2s, poly2s)
+    def test_bivariate_results_list_terms_in_canonical_order(self, p, q):
+        for r in (p + q, p - q, p * q, p ** 2, p.partial("t1"), expand_bivariate(p),
+                  p.substitute(q, T2 + 1)):
+            assert _is_canonical(r)
+
+    @given(term_lists(RING3, max_terms=8), st.randoms(use_true_random=False))
+    def test_constructor_orders_shuffled_terms(self, terms, rng):
+        shuffled = list(terms)
+        rng.shuffle(shuffled)
+        p, q = Poly(RING3, terms), Poly(RING3, shuffled)
+        assert _is_canonical(p) and _is_canonical(q)
+        assert tuple(p.terms()) == tuple(q.terms())
+
+    @given(poly3s, poly3s, poly3s)
+    def test_equal_values_print_hash_and_list_alike(self, p, q, r):
+        pairs = [
+            ((p + q) * r, r * q + p * r),
+            (p * q - q, (p - 1) * q),
+            (p, Poly(RING3, list(p.terms())[::-1])),
+            (p ** 2, p * p),
+        ]
+        for a, b in pairs:
+            assert a == b
+            assert str(a) == str(b)
+            assert hash(a) == hash(b)
+            assert tuple(a.terms()) == tuple(b.terms())
+
+    @given(poly3s, poly3s)
+    def test_operands_are_unchanged(self, p, q):
+        before_p, before_q = _value(p), _value(q)
+        _results(p, q)
+        assert (_value(p), _value(q)) == (before_p, before_q)
+        assert dict(p.terms()) == before_p and dict(q.terms()) == before_q
+
+    @given(poly3s, poly3s)
+    def test_integral_coefficients_are_int(self, p, q):
+        for r in [p, q, *_results(p, q)]:
+            for _, c in r.terms():
+                assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+    def test_integral_sums_in_the_constructor_are_int(self):
+        half = Fraction(1, 2)
+        p = Poly(RING3, [((1, 0, 0), half), ((1, 0, 0), half), ((0, 0, 0), Fraction(4, 2))])
+        assert [type(c) for _, c in p.terms()] == [int, int]
+
+    def test_constants_hash_like_their_value(self):
+        assert hash(Poly.constant(RING3, Fraction(6, 3))) == hash(2)
+        assert hash(Poly.constant(RING3, Fraction(1, 3))) == hash(Fraction(1, 3))
+        assert hash(Poly.zero(RING3)) == hash(0)
+        assert hash(X - X + 5) == hash(5)

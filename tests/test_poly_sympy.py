@@ -1,11 +1,11 @@
 """Differential test of the ``Poly`` core against sympy's sparse rings.
 
-sympy is not a dependency of the package; the test is skipped when it is
-not installed.  Seeded small random polynomials in RING3 and RING2 go
-through ``+``, ``-``, ``*``, ``**``, ``substitute`` and
-``expand_bivariate`` here and through ``sympy.ring(..., QQ)`` arithmetic
-and ``compose`` there, and the results are compared coefficient by
-coefficient.
+sympy is a test dependency only (the ``test`` extra), not a runtime one;
+the test is skipped when it is not installed.  Seeded small random
+polynomials in RING3 and RING2 go through ``+``, ``-``, ``*``, ``**``,
+``substitute`` and ``expand_bivariate`` here and through
+``sympy.ring(..., QQ)`` arithmetic and ``compose`` there, and the
+results are compared coefficient by coefficient.
 """
 
 import random
