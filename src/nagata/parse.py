@@ -109,9 +109,9 @@ def _tokenize(text: str, offset: int) -> list[_Token]:
 # 20` output have at most 4 terms and 3319 bits (a numeral at the digit cap
 # times x).  2^4096 prints in 1234 digits, so the inverse's phi^2 stays
 # within Python's 4300-digit limit for printing an integer.  The size limit
-# (terms times bits) keeps the slowest power within the limits,
-# (1/2*x+1/3)^295, under half a second; Fraction arithmetic is ten times
-# slower than int.
+# (terms times bits) keeps the slowest power within the limits, (x+1)^511,
+# under a tenth of a second; a base with denominators, such as
+# (1/2*x+1/3)^295, is multiplied over integer numerators and is no slower.
 _MAX_TERMS = 1000
 _MAX_BITS = 4096
 _MAX_SIZE = 2 ** 18

@@ -13,7 +13,12 @@ are exact rationals (floats are rejected), because every verdict in this
 package is an equality-of-polynomials decision.  Integer-valued
 coefficients are stored as plain ints and promoted to Fraction only when
 a denominator appears; the two types agree under ==, hash and
-arithmetic, so this is purely a speed matter.
+arithmetic.  Fraction arithmetic is much slower than int arithmetic, so
+a product of two polynomials of more than one term that carry a
+denominator is taken over integer numerators: each factor is scaled by
+the least common denominator of its coefficients, the term pairs are
+multiplied as ints, and each result coefficient is divided once by the
+product of the two denominators.
 
 A Poly keeps its terms in a dict from exponent tuple to coefficient, in
 no particular order.  Arithmetic, substitution, equality and the degree
@@ -30,6 +35,7 @@ t1 before t2, e.g. "y^2 + x*z" and "x + y + z").
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from typing import Union
@@ -61,7 +67,8 @@ def _as_coeff(value) -> Scalar:
     if isinstance(value, float):
         raise TypeError("floating point coefficients are not allowed; use Fraction")
     if isinstance(value, int):
-        return value
+        # int() turns a bool into 0 or 1, which print as numerals
+        return int(value)
     value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -90,6 +97,16 @@ def _normalized(acc: dict[Exponent, Scalar]) -> dict[Exponent, Scalar]:
         for e, c in acc.items()
         if c
     }
+
+
+def _numerators(coeffs: dict[Exponent, Scalar]) -> tuple[int, dict[Exponent, int]]:
+    """(den, num): den is the least common denominator of the
+    coefficients, and num maps each exponent to den times its coefficient,
+    an int."""
+    den = math.lcm(*[c.denominator for c in coeffs.values()])
+    if den == 1:
+        return 1, coeffs
+    return den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
 
 
 class Poly:
@@ -138,7 +155,7 @@ class Poly:
     @classmethod
     def constant(cls, vars: Sequence[str], value: Scalar) -> "Poly":
         names = tuple(vars)
-        return cls(names, {(0,) * len(names): value})
+        return cls._raw(names, {(0,) * len(names): _as_coeff(value)})
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str) -> "Poly":
@@ -146,7 +163,7 @@ class Poly:
         if name not in names:
             raise ValueError(f"unknown variable {name!r}; ring has {names!r}")
         exp = tuple(1 if v == name else 0 for v in names)
-        return cls(names, {exp: 1})
+        return cls._raw(names, {exp: 1})
 
     # -- basic structure ------------------------------------------------
 
@@ -225,9 +242,20 @@ class Poly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
+        a, b = self._coeffs, q._coeffs
+        den = 1
+        if len(a) > 1 and len(b) > 1 and Fraction in {
+                *map(type, a.values()), *map(type, b.values())}:
+            # more term pairs than result terms, and a denominator: multiply
+            # integer numerators and divide once per result term, not one
+            # Fraction product and sum per pair.  A one-term factor has as
+            # many pairs as results, so scaling it would save nothing.
+            den_a, a = _numerators(a)
+            den_b, b = _numerators(b)
+            den = den_a * den_b
         out: dict[Exponent, Scalar] = {}
         get = out.get
-        terms_a, terms_b = self._coeffs.items(), q._coeffs.items()
+        terms_a, terms_b = a.items(), b.items()
         # the exponent addition is the hottest loop in the package, so the
         # two fixed arities are unrolled
         if len(self.vars) == 3:
@@ -245,6 +273,10 @@ class Poly:
                 for eb, cb in terms_b:
                     e = tuple(i + j for i, j in zip(ea, eb))
                     out[e] = get(e, 0) + ca * cb
+        if den != 1:
+            for e, c in out.items():
+                whole, rest = divmod(c, den)
+                out[e] = Fraction(c, den) if rest else whole
         return Poly._raw(self.vars, out)
 
     __rmul__ = __mul__
@@ -256,6 +288,9 @@ class Poly:
             raise ValueError("polynomial exponent must be nonnegative")
         if n == 0:
             return Poly.constant(self.vars, 1)
+        if len(self._coeffs) == 1:
+            (exp, coeff), = self._coeffs.items()
+            return Poly._raw(self.vars, {tuple(n * e for e in exp): coeff ** n})
         result = None
         base = self
         while True:

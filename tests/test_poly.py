@@ -21,6 +21,7 @@ from _strategies import nonzero_poly2s, points3, poly2s, poly3s, term_lists
 
 PHI = X * Z + Y ** 2
 EXWW = T1 ** 2 - T2 ** 3 + T1 * T2 ** 2
+MONOMIAL = Fraction(-3, 2) * X * Y ** 2
 
 
 class TestArithmetic:
@@ -38,15 +39,22 @@ class TestArithmetic:
             assert product.evaluate(*pt) == PHI.evaluate(*pt) ** 2
 
     def test_pow_zero_is_one(self):
-        for p in (PHI, Poly.zero(RING3), -3 * X * Y):
+        for p in (PHI, Poly.zero(RING3), -3 * X * Y, MONOMIAL):
             assert p ** 0 == 1
 
     def test_pow_matches_repeated_multiplication(self):
         assert PHI ** 3 == PHI * PHI * PHI
+        # a one-term power scales the exponent instead of multiplying
+        assert MONOMIAL ** 5 == MONOMIAL * MONOMIAL * MONOMIAL * MONOMIAL * MONOMIAL
+        assert str(MONOMIAL ** 5) == "-243/32*x^5*y^10"
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             PHI ** -1
+
+    def test_unknown_variable_rejected(self):
+        with pytest.raises(ValueError, match="unknown variable"):
+            Poly.variable(RING3, "w")
 
     def test_mixed_rings_rejected(self):
         with pytest.raises(ValueError, match="mixed polynomial rings"):
@@ -55,6 +63,8 @@ class TestArithmetic:
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
             Poly(RING3, {(1, 0, 0): 0.5})
+        with pytest.raises(TypeError):
+            Poly.constant(RING3, 0.5)
         with pytest.raises(TypeError):
             X.evaluate(0.5, 0, 0)
         with pytest.raises(TypeError):
@@ -287,8 +297,88 @@ class TestRepresentation:
         p = Poly(RING3, [((1, 0, 0), half), ((1, 0, 0), half), ((0, 0, 0), Fraction(4, 2))])
         assert [type(c) for _, c in p.terms()] == [int, int]
 
+    def test_constants_store_normal_coefficients(self):
+        assert [(e, c, type(c)) for e, c in Poly.constant(RING3, Fraction(4, 2)).terms()] \
+            == [((0, 0, 0), 2, int)]
+        assert Poly.constant(RING3, 0).is_zero()
+        assert list(Poly.constant(RING3, 0).terms()) == []
+        # a bool is stored as the int it equals, so it prints as a numeral
+        assert [type(c) for _, c in Poly.constant(RING3, True).terms()] == [int]
+        assert str(X * 0 + True) == "1"
+
     def test_constants_hash_like_their_value(self):
         assert hash(Poly.constant(RING3, Fraction(6, 3))) == hash(2)
         assert hash(Poly.constant(RING3, Fraction(1, 3))) == hash(Fraction(1, 3))
         assert hash(Poly.zero(RING3)) == hash(0)
         assert hash(X - X + 5) == hash(5)
+
+
+def _reference_product(a, b):
+    """Product of two {exponent: coefficient} dicts, one Fraction multiply
+    and add per term pair: the reference for the integer product kernel."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0) + Fraction(ca) * Fraction(cb)
+    return {e: c for e, c in out.items() if c}
+
+
+def _reference_power(p, n):
+    acc = {(0,) * len(p.vars): Fraction(1)}
+    for _ in range(n):
+        acc = _reference_product(acc, _value(p))
+    return acc
+
+
+# denominators up to 12 share factors, so the least common denominator of
+# a polynomial is often smaller than the product of its denominators
+_wide_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool)
+
+
+def _kernel_polys(ring):
+    exponents = st.tuples(*([st.integers(0, 3)] * len(ring)))
+    coeffs = st.one_of(_wide_rationals, st.integers(-9, 9).filter(bool))
+    return st.one_of(
+        st.lists(st.tuples(exponents, coeffs), max_size=5),
+        st.lists(st.tuples(exponents, st.integers(-9, 9).filter(bool)), max_size=4),
+        st.lists(st.tuples(exponents, _wide_rationals), max_size=1),
+    ).map(lambda terms: Poly(ring, terms))
+
+
+class TestIntegerProductKernel:
+    """Products of rational polynomials are taken over integer numerators;
+    the per-pair Fraction loop stays here as the reference."""
+
+    def _check(self, p, q):
+        before = (_value(p), _value(q))
+        results = [(p * q, _reference_product(_value(p), _value(q)))]
+        results += [(p ** n, _reference_power(p, n)) for n in range(5)]
+        for r, expected in results:
+            assert _value(r) == expected
+            for _, c in r.terms():
+                assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+        assert (_value(p), _value(q)) == before
+
+    @given(_kernel_polys(RING3), _kernel_polys(RING3))
+    def test_trivariate_products_match_the_fraction_loop(self, p, q):
+        self._check(p, q)
+
+    @given(_kernel_polys(RING2), _kernel_polys(RING2))
+    def test_bivariate_products_match_the_fraction_loop(self, p, q):
+        self._check(p, q)
+
+    @pytest.mark.parametrize("p, q", [
+        (Fraction(1, 6) * X + Fraction(1, 4) * Y, Fraction(2, 3) * X - Fraction(3, 4) * Y),
+        (Fraction(1, 2) * T1 + Fraction(1, 3), 6 * T1 - 6),
+        (PHI + 1, Fraction(5, 12) * X * Z - Fraction(7, 8)),
+        (MONOMIAL, Fraction(1, 2) * X + Fraction(1, 3)),
+        (Fraction(1, 2) * X + Fraction(1, 3), Poly.constant(RING3, Fraction(6, 5))),
+        (PHI, X + Y - 2),
+        (Poly.zero(RING3), Fraction(1, 2) * X + Fraction(1, 3)),
+    ])
+    def test_edge_operands(self, p, q):
+        # rescaled and integral operands, integral results, a one-term
+        # operand on either side, integer-only operands and zero
+        self._check(p, q)
+        self._check(q, p)

@@ -21,3 +21,8 @@ def test_script_exits_zero(argv):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    if argv[0] == "random_survey.py":
+        timing = result.stdout.split("cpu time per map, ms (process_time):\n")[1]
+        rows = [line.split() for line in timing.splitlines()[1:]]
+        assert rows and all(len(row) == 3 for row in rows)
+        assert all(float(p50) <= float(top) for _, p50, top in rows)
