@@ -29,7 +29,7 @@ from .lojasiewicz import _loj_report, deformation_compare, loj_exponent
 from .maps import PolyEndo, build_nagata, compose, decompose, inverse_nagata
 from .parse import ParseError, _Parser, parse_poly2, parse_poly3
 from .pde import DEGREE_BOUND, _spans_agree, kernel_oracle, solution_basis
-from .poly import Poly, RING3, expand_bivariate
+from .poly import Poly, RING3, _monomial_text, expand_bivariate
 from .randgen import random_poly2
 
 SCHEMA_VERSION = 1
@@ -44,12 +44,9 @@ def _endo_payload(e: PolyEndo) -> dict:
     return {"f": str(e.f), "g": str(e.g), "h": str(e.h)}
 
 
-def _endo_lines(label: str, e: PolyEndo) -> list[str]:
-    return [
-        f"{label} f: {e.f}",
-        f"{label} g: {e.g}",
-        f"{label} h: {e.h}",
-    ]
+def _endo_lines(label: str, e: dict) -> list[str]:
+    """Text lines of an _endo_payload, whose strings are already printed."""
+    return [f"{label} {key}: {e[key]}" for key in ("f", "g", "h")]
 
 
 def _parse_endo(text: str) -> PolyEndo:
@@ -65,12 +62,14 @@ def _parse_endo(text: str) -> PolyEndo:
     return PolyEndo(f, g, h)
 
 
-def _evidence_payload(c: Classification) -> dict:
+def _evidence_payload(c: Classification, residual: str,
+                      representative: str | None) -> dict:
+    """Evidence of c, given its residual and representative as printed."""
     evidence: dict = {}
     if not c.residual.is_zero():
-        evidence["residual"] = str(c.residual)
-    if c.representative is not None:
-        evidence["representative"] = str(c.representative)
+        evidence["residual"] = residual
+    if representative is not None:
+        evidence["representative"] = representative
     if c.leading_form is not None:
         evidence["leading_form"] = str(c.leading_form)
     if c.leading_form_t1_derivative is not None:
@@ -81,41 +80,42 @@ def _evidence_payload(c: Classification) -> dict:
 
 
 def _analysis_payload(phi: Poly) -> tuple[dict, list[str], int]:
-    """Shared full report for ``analyze`` and ``random``."""
+    """Shared full report for ``analyze`` and ``random``; the text lines
+    reuse the payload's strings."""
     verdict = classify(phi)
     # the Jacobian determinant of the map of phi is 1 + (-2*y*phi_x + z*phi_y),
     # that is 1 + residual (van den Essen 2000, ch. 1-2)
     determinant = 1 + verdict.residual
     is_auto = verdict.residual.is_zero()
+    residual = str(verdict.residual)
+    # classify's decompose has proven phi == expand_bivariate(p)
+    representative = str(verdict.representative) if is_auto else None
     payload = {
         "phi": str(phi),
-        "residual": str(verdict.residual),
+        "residual": residual,
         "jacobian_determinant": str(determinant),
         "is_automorphism": is_auto,
-        "representative": None,
+        "representative": representative,
         "inverse": None,
         "classification": verdict.verdict.value,
-        "evidence": _evidence_payload(verdict),
+        "evidence": _evidence_payload(verdict, residual, representative),
         "lojasiewicz_exponent": None,
     }
     lines = [
-        f"phi: {phi}",
-        f"residual: {verdict.residual}",
-        f"jacobian determinant: {determinant}",
+        f"phi: {payload['phi']}",
+        f"residual: {residual}",
+        f"jacobian determinant: {payload['jacobian_determinant']}",
         f"automorphism: {'yes' if is_auto else 'no'}",
     ]
     if is_auto:
-        # classify's decompose has proven phi == expand_bivariate(p)
-        p = verdict.representative
         inverse = build_nagata(-phi).endo
         loj = _loj_report(phi, inverse)
-        payload["representative"] = str(p)
         payload["inverse"] = _endo_payload(inverse)
         payload["lojasiewicz_exponent"] = str(loj.exponent)
-        lines.append(f"representative p: {p}")
-        lines.extend(_endo_lines("inverse", inverse))
+        lines.append(f"representative p: {representative}")
+        lines.extend(_endo_lines("inverse", payload["inverse"]))
         lines.append(f"classification: {verdict.verdict.value}")
-        lines.append(f"lojasiewicz exponent: {loj.exponent}")
+        lines.append(f"lojasiewicz exponent: {payload['lojasiewicz_exponent']}")
     else:
         lines.append(f"classification: {verdict.verdict.value}")
     return payload, lines, 0 if is_auto else 1
@@ -131,7 +131,7 @@ def _cmd_invert(args) -> tuple[int, dict, list[str]]:
     p = parse_poly2(args.p)
     inverse = inverse_nagata(p)
     payload = {"p": str(p), "inverse": _endo_payload(inverse)}
-    return 0, payload, _endo_lines("inverse", inverse)
+    return 0, payload, _endo_lines("inverse", payload["inverse"])
 
 
 def _cmd_compose(args) -> tuple[int, dict, list[str]]:
@@ -143,21 +143,23 @@ def _cmd_compose(args) -> tuple[int, dict, list[str]]:
         "inner": _endo_payload(inner),
         "result": _endo_payload(result),
     }
-    return 0, payload, _endo_lines("composed", result)
+    return 0, payload, _endo_lines("composed", payload["result"])
 
 
 def _cmd_classify(args) -> tuple[int, dict, list[str]]:
     phi = parse_poly3(args.phi)
     verdict = classify(phi)
+    p = verdict.representative
     payload = {
         "phi": str(phi),
         "verdict": verdict.verdict.value,
-        "evidence": _evidence_payload(verdict),
+        "evidence": _evidence_payload(verdict, str(verdict.residual),
+                                      None if p is None else str(p)),
     }
     lines = [f"verdict: {verdict.verdict.value}"]
     for key, value in payload["evidence"].items():
         if key == "tame_factors":
-            for i, factor in enumerate(verdict.tame_factors, start=1):
+            for i, factor in enumerate(value, start=1):
                 lines.extend(_endo_lines(f"factor {i}", factor))
         else:
             lines.append(f"{key.replace('_', ' ')}: {value}")
@@ -167,29 +169,29 @@ def _cmd_classify(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_basis(args) -> tuple[int, dict, list[str]]:
     basis = solution_basis(args.degree)
-    payload = {
-        "degree": basis.degree,
-        "elements": [str(e) for e in basis.elements],
-    }
-    return 0, payload, [str(e) for e in basis.elements]
+    elements = [str(e) for e in basis.elements]
+    return 0, {"degree": basis.degree, "elements": elements}, elements
 
 
 def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
     result = kernel_oracle(args.degree)
     verified = _spans_agree(result, solution_basis(args.degree))
-    monomial_strings = [str(Poly(RING3, {m: 1})) for m in result.monomials]
-    payload = {
-        "degree": result.degree,
-        "dimension": result.dimension,
-        "monomials": monomial_strings,
-        "kernel_basis": [[str(x) for x in vec] for vec in result.kernel_basis],
-        "verified": verified,
-    }
+    code = 0 if verified else 1
+    # the JSON and the text share no polynomial, so only the one asked for
+    # is built
+    if args.json:
+        return code, {
+            "degree": result.degree,
+            "dimension": result.dimension,
+            "monomials": [_monomial_text(RING3, m) for m in result.monomials],
+            "kernel_basis": [[str(x) for x in vec] for vec in result.kernel_basis],
+            "verified": verified,
+        }, []
     lines = [f"kernel dimension: {result.dimension}"]
     for polynomial in result.polynomials():
         lines.append(f"kernel element: {polynomial}")
     lines.append(f"matches closed-form basis: {'yes' if verified else 'no'}")
-    return (0 if verified else 1), payload, lines
+    return code, {}, lines
 
 
 def _loj_payload(label: str, report) -> dict:
@@ -237,7 +239,7 @@ def _cmd_decompose(args) -> tuple[int, dict, list[str]]:
         "representative": str(p) if present else None,
     }
     line = (
-        f"representative p: {p}"
+        f"representative p: {payload['representative']}"
         if present
         else "representative: absent (phi is not a polynomial in x*z + y^2 and z)"
     )
@@ -257,7 +259,7 @@ def _cmd_random(args) -> tuple[int, dict, list[str]]:
         "p": str(p),
         "analysis": analysis,
     }
-    return 0, payload, [f"p: {p}", *lines]
+    return 0, payload, [f"p: {payload['p']}", *lines]
 
 
 def _add_json_flag(sub: argparse.ArgumentParser) -> None:

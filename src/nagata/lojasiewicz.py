@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .maps import PolyEndo, build_nagata
-from .poly import Poly, RING2, expand_bivariate
+from .poly import Poly, RING2, _monomial_text, expand_bivariate
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def deformation_compare(p: Poly, p_s: Poly) -> DeformationReport:
     """
     missing = sorted(p.support() - p_s.support())
     if missing:
-        monomial = str(Poly(RING2, {missing[0]: 1}))
+        monomial = _monomial_text(RING2, missing[0])
         raise ValueError(
             f"support containment violated: monomial {monomial} of the base "
             "polynomial is missing from the deformation"

@@ -22,15 +22,28 @@ degree of more than 1000 digits is a ParseError at the operator.
 Positions in error messages are 1-based character offsets; end-of-input
 is reported at the last character of the text.  The canonical printed
 form of a polynomial is ``str(poly)``, which always re-parses.
+
+The text is split into tokens by one regular expression.  The parser's
+values are plain exponent -> coefficient dicts, and only the result of
+``parse`` becomes a ``Poly``.  A product of two monomials adds their
+exponents, and a power of a monomial scales its exponent, each after the
+degree and coefficient estimate; so a canonical text such as
+``3/2*x*y^2 - z`` runs no ``Poly`` arithmetic at all.  Only a "*" or "^"
+with an operand of more than one term multiplies ``Poly`` values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
 from fractions import Fraction
+from operator import add
+from typing import NamedTuple
 
-from .poly import Exponent, Poly, RING2, RING3
+from .poly import Exponent, Poly, RING2, RING3, Scalar, _normalized
+
+# a parsed value: exponent -> nonzero coefficient, {} for 0
+_Terms = dict[Exponent, Scalar]
 
 
 class ParseError(ValueError):
@@ -52,54 +65,49 @@ class UnknownIdentifierError(ParseError):
         self.identifier = identifier
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number", "ident", one of "+-*^()/", or "end"
     text: str
     position: int
-
-
-# Only ASCII digits: str.isdigit also accepts characters such as "²" that
-# int() cannot read.
-_DIGITS = frozenset("0123456789")
 
 
 # int() refuses more than 4300 digits (sys.get_int_max_str_digits), and
 # printing refuses them too; longer numerals are a ParseError instead.
 _MAX_DIGITS = 1000
 
+# Whitespace, then at most one token: an ASCII numeral (str.isdigit also
+# accepts characters such as "²" that int() cannot read), an alphanumeric
+# run, or an operator.  \s is str.isspace and [^\W_] is str.isalnum, so
+# a match that takes no token stops at the end or at a character that
+# starts none.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([^\W_]+)|([-+*^()/]))?")
+
 
 def _tokenize(text: str, offset: int) -> list[_Token]:
     """Tokens of text, whose positions are 1-based and shifted by offset."""
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        pos = offset + i + 1
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j - i > _MAX_DIGITS:
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group is None:
+            end = match.end()
+            if end == len(text):
+                break
+            raise ParseError(f"unexpected character {text[end]!r}", offset + end + 1)
+        word = match[group]
+        pos = offset + match.start(group) + 1
+        if group == 1:
+            if len(word) > _MAX_DIGITS:
                 raise ParseError(f"numeral longer than {_MAX_DIGITS} digits", pos)
-            tokens.append(_Token("number", text[i:j], pos))
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            tokens.append(_Token("ident", text[i:j], pos))
-            i = j
-        elif c in "+-*^()/":
-            tokens.append(_Token(c, c, pos))
-            i += 1
+            tokens.append(_Token("number", word, pos))
+        elif group == 2:
+            # an identifier starts with a letter; "²x" and "٣" start with none
+            if not word[0].isalpha():
+                raise ParseError(f"unexpected character {word[0]!r}", pos)
+            tokens.append(_Token("ident", word, pos))
         else:
-            raise ParseError(f"unexpected character {c!r}", pos)
+            tokens.append(_Token(word, word, pos))
     # clamp end-of-input to the last character so truncated input points there
-    tokens.append(_Token("end", "", offset + max(1, n)))
+    tokens.append(_Token("end", "", offset + max(1, len(text))))
     return tokens
 
 
@@ -205,11 +213,16 @@ _MAX_NESTING = 100
 
 
 class _Parser:
+    """Values are exponent -> nonzero coefficient dicts, {} for 0; parse()
+    wraps the last one in a Poly."""
+
     def __init__(self, text: str, names: tuple[str, ...], offset: int = 0):
         self.tokens = _tokenize(text, offset)
         self.pos = 0
         self.names = names
         self.nesting = 0
+        self.zero = (0,) * len(names)
+        self.units = {v: tuple(int(v == w) for w in names) for v in names}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -228,32 +241,46 @@ class _Parser:
         value = self.expr()
         if self.peek().kind != "end":
             raise self.fail(frozenset({"'+'", "'-'", "'*'", "end of input"}))
-        return value
+        return Poly._raw(self.names, value)
 
-    def expr(self) -> Poly:
+    def expr(self) -> _Terms:
         value = self.term()
         if self.peek().kind not in ("+", "-"):
             return value
         # the signed terms go into one dict, so a sum costs time linear
         # in its length rather than a copy of the sum so far per "+"
-        acc = dict(value._coeffs)
+        acc = dict(value)
         while self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
-            for e, c in self.term()._coeffs.items():
-                acc[e] = acc.get(e, 0) + sign * c
-        return Poly._raw(self.names, acc)
+            minus = self.advance().kind == "-"
+            for e, c in self.term().items():
+                if minus:
+                    c = -c
+                acc[e] = acc[e] + c if e in acc else c
+        # cancelled terms go, so that (x - x)^n is 0 and (x + 1 - 1) a monomial
+        return _normalized(acc)
 
-    def term(self) -> Poly:
+    def term(self) -> _Terms:
         value = self.factor()
         while self.peek().kind == "*":
             tok = self.advance()
             rhs = self.factor()
-            if value and rhs:
-                _check_product(tok, value, rhs)
-            value = value * rhs
+            if not value or not rhs:
+                value = {}
+            elif len(value) == 1 and len(rhs) == 1:
+                # the estimate of _check_product for two one-term factors
+                (ea, ca), = value.items()
+                (eb, cb), = rhs.items()
+                _check_degree(tok, sum(ea) + sum(eb))
+                _check_bits(tok, (max(abs(ca.numerator * cb.numerator),
+                                      ca.denominator * cb.denominator) - 1).bit_length())
+                value = {tuple(map(add, ea, eb)): ca * cb}
+            else:
+                a, b = Poly._raw(self.names, value), Poly._raw(self.names, rhs)
+                _check_product(tok, a, b)
+                value = (a * b)._coeffs
         return value
 
-    def factor(self) -> Poly:
+    def factor(self) -> _Terms:
         negate = False
         if self.peek().kind == "-":
             self.advance()
@@ -266,16 +293,27 @@ class _Parser:
             if self.peek().kind != "number":
                 raise self.fail(frozenset({"number"}))
             n = int(self.advance().text)
-            if value:
-                _check_power(tok, value, n)
-            value = value ** n
-        return -value if negate else value
+            if n == 0:
+                value = {self.zero: 1}  # 0^0 is 1 too
+            elif len(value) == 1:
+                # the estimate of _check_power for a one-term base
+                (e, c), = value.items()
+                _check_degree(tok, n * sum(e))
+                _check_bits(tok, n * (max(abs(c.numerator), c.denominator) - 1).bit_length())
+                value = {tuple(n * i for i in e): c ** n}
+            elif value:
+                base = Poly._raw(self.names, value)
+                _check_power(tok, base, n)
+                value = (base ** n)._coeffs
+        if negate:
+            return {e: -c for e, c in value.items()}
+        return value
 
-    def base(self) -> Poly:
+    def base(self) -> _Terms:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            numerator = int(tok.text)
+            value = int(tok.text)
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.peek()
@@ -284,13 +322,16 @@ class _Parser:
                 self.advance()
                 if int(den_tok.text) == 0:
                     raise ParseError("zero denominator", den_tok.position)
-                return Poly.constant(self.names, Fraction(numerator, int(den_tok.text)))
-            return Poly.constant(self.names, numerator)
+                value = Fraction(value, int(den_tok.text))
+                if value.denominator == 1:
+                    value = value.numerator
+            return {self.zero: value} if value else {}
         if tok.kind == "ident":
             self.advance()
-            if tok.text not in self.names:
+            unit = self.units.get(tok.text)
+            if unit is None:
                 raise UnknownIdentifierError(tok.text, tok.position, self.names)
-            return Poly.variable(self.names, tok.text)
+            return {unit: 1}
         if tok.kind == "(":
             if self.nesting == _MAX_NESTING:
                 raise ParseError(

@@ -109,6 +109,12 @@ def _numerators(coeffs: dict[Exponent, Scalar]) -> tuple[int, dict[Exponent, int
     return den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
 
 
+def _monomial_text(names: Sequence[str], exp: Exponent) -> str:
+    """The monomial of exp as printed: "x^2*y" for (2, 1, 0) in x, y, z,
+    and "1" for the zero exponent."""
+    return "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(names, exp) if e]) or "1"
+
+
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients.
 
@@ -437,18 +443,13 @@ class Poly:
             return "0"
         chunks: list[str] = []
         for exp, coeff in self._canonical():
-            factors = [
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.vars, exp)
-                if e
-            ]
             mag = -coeff if coeff < 0 else coeff
-            if not factors:
+            if not any(exp):
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = _monomial_text(self.vars, exp)
             else:
-                body = "*".join([str(mag), *factors])
+                body = str(mag) + "*" + _monomial_text(self.vars, exp)
             if not chunks:
                 chunks.append(f"-{body}" if coeff < 0 else body)
             else:

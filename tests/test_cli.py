@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from nagata import DEGREE_BOUND, parse_poly2, parse_poly3
+from nagata import DEGREE_BOUND, Poly, parse_poly2, parse_poly3
 from nagata import cli
+from nagata.pde import KernelOracleResult
 from nagata.cli import DVMAX_BOUND, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -372,3 +373,38 @@ class TestOneParserPerProcess:
         assert first == second == fresh
         assert first[0] == expected
         assert first[1 if expected == 0 else 2].startswith("usage: nagata")
+
+
+class TestEachPolynomialPrintedOnce:
+    """The text lines are built from the payload's strings, so text mode
+    prints no polynomial that --json does not."""
+
+    @pytest.mark.parametrize("phi", [
+        "3/2*x^2*z^2 + 3*x*y^2*z + 3/2*y^4 + z",  # WildAutomorphism
+        "3/2*x^2*z^2 + 3*x*y^2*z + 3/2*y^4 + z + x",  # spoiled: NotAutomorphism
+    ], ids=["wild", "spoiled"])
+    def test_analyze_prints_each_polynomial_once(self, capsys, monkeypatch, phi):
+        printed = []
+        original = Poly.__str__
+
+        def counted(self):
+            printed.append(self)  # held, so no id is reused
+            return original(self)
+
+        monkeypatch.setattr(Poly, "__str__", counted)
+        counts = []
+        for extra in ([], ["--json"]):
+            printed.clear()
+            run(["analyze", phi, *extra])
+            assert len({id(p) for p in printed}) == len(printed)
+            counts.append(len(printed))
+        capsys.readouterr()
+        assert counts[0] == counts[1] > 0
+
+    def test_oracle_json_builds_no_kernel_polynomials(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("polynomials() built for --json")
+
+        monkeypatch.setattr(KernelOracleResult, "polynomials", refuse)
+        assert run(["oracle", "12", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_parser
 from nagata import (
     ParseError,
     Poly,
+    RING2,
     RING3,
     T1,
     T2,
@@ -19,6 +21,7 @@ from nagata import (
     parse_poly2,
     parse_poly3,
 )
+from nagata.parse import _Parser
 from _strategies import poly2s, poly3s
 
 PHI = X * Z + Y ** 2
@@ -136,56 +139,79 @@ class TestErrors:
             assert isinstance(result, Poly)
 
 
+# texts refused by a size limit, with the position of the operator
+OVER_THE_BIT_LIMIT = [
+    ("9^9999999", 2),
+    ("9^5000", 2),
+    ("2^4097", 2),
+    ("3^2049", 2),
+    ("(1/3)^2049", 6),
+    ("(x+1)^99999", 6),
+    ("x*(x+1)^4097", 8),
+    ("2^4096*2", 7),
+    ("(2^4096*x)*(y+2)", 11),
+    ("9" * 1000 + "*" + "9" * 1000, 1001),
+]
+OVER_THE_TERM_LIMIT = [
+    ("(x+y+z+1)^17", 10),
+    ("(x+1)^1000", 6),
+    ("((x+1)^10 + (y+1)^10 + (z+1)^10)^3", 33),
+    ("(x+1)^40*(y+1)^40", 9),
+    ("(x+y+z)^9*(x+y+z)^9", 10),
+]
+OVER_THE_SIZE_LIMIT = [
+    ("(x+1)^512", 6),
+    ("(1/2*x + 1/3)^296", 14),
+    ("(x+y+z+2^200)^16", 14),
+]
+OVER_THE_DEGREE_LIMIT = [
+    ("(x^" + "9" * 999 + ")^" + "9" * 999, 1004),
+    ("x^" + "9" * 1000 + "*x", 1003),
+    ("(y*z)^" + "5" * 1000, 6),
+]
+HUGE = "9" * 1000
+# texts at the size limits, or unlimited because a factor is a monomial or 0
+WITHIN_THE_LIMITS = [
+    "2^4096", "(1/3)^2048", "2^4096*x", "(x+y+z+1)^16", "(x+1)^511",
+    "(x+1)^40*(x+1)^40", "(x+y+z)^8*(x+y+z)^0", "(t1+t2+1)^43", "(t1+t2+1)^44",
+    f"x^{HUGE}", f"(-y)^{HUGE}", f"(z^{HUGE[1:]})^10", f"(x - x)^{HUGE}",
+    f"0^{HUGE}*(x+1)", "1" * 1000 + "*x", "t1 + 1/" + "9" * 1000,
+]
+# texts over the degree and the bit limit at once: the message tells
+# which check ran first
+OVER_TWO_LIMITS = [f"(2*x^2)^{HUGE}", f"2^4096*x^{HUGE}*(2*x)", f"(2*x^2 + 1)^{HUGE}",
+                   f"(t1^2*t2)^{HUGE}"]
+# sums whose terms cancel, to 0 or to one term
+CANCELLING = ["(x - x)*(y + 1)", "(y + 1)*(x - x)", f"(x + 1 - 1)^{HUGE}",
+              "(x + y - y)*(z + 1)^2", "(1/2*x - 1/2*x + 3)^2", "(t1 - t1)^0"]
+
+
 class TestSizeLimits:
     """Each "^" and "*" estimates its result and refuses, at the operator,
     one that may have more than 1000 terms, a coefficient above 2^4096,
     more than 2^18 coefficient bits in all or a degree of more than 1000
     digits."""
 
-    @pytest.mark.parametrize("text, position", [
-        ("9^9999999", 2),
-        ("9^5000", 2),
-        ("2^4097", 2),
-        ("3^2049", 2),
-        ("(1/3)^2049", 6),
-        ("(x+1)^99999", 6),
-        ("x*(x+1)^4097", 8),
-        ("2^4096*2", 7),
-        ("(2^4096*x)*(y+2)", 11),
-        ("9" * 1000 + "*" + "9" * 1000, 1001),
-    ])
+    @pytest.mark.parametrize("text, position", OVER_THE_BIT_LIMIT)
     def test_coefficient_over_the_bit_limit_rejected(self, text, position):
         with pytest.raises(ParseError, match=r"coefficient above 2\^4096") as info:
             parse_poly3(text)
         assert info.value.position == position
 
-    @pytest.mark.parametrize("text, position", [
-        ("(x+y+z+1)^17", 10),
-        ("(x+1)^1000", 6),
-        ("((x+1)^10 + (y+1)^10 + (z+1)^10)^3", 33),
-        ("(x+1)^40*(y+1)^40", 9),
-        ("(x+y+z)^9*(x+y+z)^9", 10),
-    ])
+    @pytest.mark.parametrize("text, position", OVER_THE_TERM_LIMIT)
     def test_term_count_over_the_limit_rejected(self, text, position):
         with pytest.raises(ParseError, match="more than 1000 terms") as info:
             parse_poly3(text)
         assert info.value.position == position
 
-    @pytest.mark.parametrize("text, position", [
-        ("(x+1)^512", 6),
-        ("(1/2*x + 1/3)^296", 14),
-        ("(x+y+z+2^200)^16", 14),
-    ])
+    @pytest.mark.parametrize("text, position", OVER_THE_SIZE_LIMIT)
     def test_total_size_over_the_limit_rejected(self, text, position):
         with pytest.raises(ParseError, match="more than 262144 coefficient bits in all") as info:
             parse_poly3(text)
         assert info.value.position == position
 
-    @pytest.mark.parametrize("text, position", [
-        ("(x^" + "9" * 999 + ")^" + "9" * 999, 1004),
-        ("x^" + "9" * 1000 + "*x", 1003),
-        ("(y*z)^" + "5" * 1000, 6),
-    ], ids=["power-of-power", "product", "two-variables"])
+    @pytest.mark.parametrize("text, position", OVER_THE_DEGREE_LIMIT,
+                             ids=["power-of-power", "product", "two-variables"])
     def test_degree_over_the_limit_rejected(self, text, position):
         # a degree prints as a numeral; more than 4300 digits would not print
         with pytest.raises(ParseError, match="degree of more than 1000 digits") as info:
@@ -285,3 +311,72 @@ class TestPrinting:
         text = str(p)
         assert parse_poly3(text.replace(" ", "")) == p
         assert parse_poly3(f"  {text}  ") == p
+
+
+def outcome(parser, text, names, offset):
+    """The printed value, or the error's type, message, position and
+    expected set."""
+    try:
+        return str(parser(text, names, offset).parse())
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position, exc.expected
+
+
+# characters that test the tokenizer's edges: "\x1c" and U+3000 are
+# whitespace, "²", "½" and "٣" are alphanumeric but no letter, "é" is a
+# letter, "_" is neither
+EDGE_CHARACTERS = ["\x1c", "\u3000", "\u00b2", "\u00bd", "\u0663", "\u00e9", "_"]
+GRAMMAR_PIECES = ["x", "y", "z", "t1", "t2", "0", "1", "2", "12", "3/2", "/0",
+                  "+", "-", "*", "^", "(", ")", " ", "xy", "2x"]
+texts = st.one_of(
+    st.text(st.one_of(st.characters(codec="utf-8").filter(str.isprintable),
+                      st.sampled_from(EDGE_CHARACTERS)), max_size=40),
+    st.lists(st.sampled_from(GRAMMAR_PIECES + EDGE_CHARACTERS), max_size=30).map("".join),
+)
+rings = st.sampled_from([RING2, RING3])
+offsets = st.sampled_from([0, 1, 17])
+
+
+class TestAgainstReference:
+    """The exponent-dict parser gives the value or the ParseError of the
+    Poly-valued reference parser (tests/_reference_parser.py)."""
+
+    @given(texts, rings, offsets)
+    @settings(max_examples=500, deadline=None)
+    def test_text(self, text, names, offset):
+        assert (outcome(_Parser, text, names, offset)
+                == outcome(_reference_parser._Parser, text, names, offset))
+
+    @given(st.one_of(poly3s.map(lambda p: (p, RING3)), poly2s.map(lambda p: (p, RING2))),
+           offsets)
+    def test_printed_polynomial(self, poly_and_ring, offset):
+        p, names = poly_and_ring
+        text = str(p)
+        assert outcome(_Parser, text, names, offset) == text
+        assert outcome(_reference_parser._Parser, text, names, offset) == text
+
+    @pytest.mark.parametrize("offset", [0, 17])
+    def test_size_limit_and_cancelling_texts(self, offset):
+        cases = (OVER_THE_BIT_LIMIT + OVER_THE_TERM_LIMIT + OVER_THE_SIZE_LIMIT
+                 + OVER_THE_DEGREE_LIMIT)
+        for text in [text for text, _ in cases] + WITHIN_THE_LIMITS + OVER_TWO_LIMITS + CANCELLING:
+            for names in (RING2, RING3):
+                assert (outcome(_Parser, text, names, offset)
+                        == outcome(_reference_parser._Parser, text, names, offset)), text
+
+
+def test_canonical_text_parses_without_poly_arithmetic(monkeypatch):
+    # 200 distinct monomials with signed rational coefficients
+    p = Poly(RING3, {(i % 7, i // 7 % 6, i // 42): Fraction((-1) ** i * (i + 1), i % 5 + 1)
+                     for i in range(200)})
+    text = str(p)
+    assert len(p.support()) == 200 and "(" not in text
+    calls = []
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        def counted(*args, _original=getattr(Poly, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(Poly, name, counted)
+    assert parse_poly3(text) == p
+    # each monomial is built on its exponents, not by Poly products
+    assert calls == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from nagata import (
     Z,
     expand_bivariate,
 )
+from nagata.poly import _monomial_text
 from _strategies import nonzero_poly2s, points3, poly2s, poly3s, term_lists
 
 PHI = X * Z + Y ** 2
@@ -382,3 +384,11 @@ class TestIntegerProductKernel:
         # operand on either side, integer-only operands and zero
         self._check(p, q)
         self._check(q, p)
+
+
+@pytest.mark.parametrize("ring", [RING2, RING3])
+def test_monomial_text_is_the_printed_monomial(ring):
+    for exp in itertools.product(range(13), repeat=len(ring)):
+        if sum(exp) <= 12:
+            assert _monomial_text(ring, exp) == str(Poly(ring, {exp: 1}))
+    assert _monomial_text(ring, (0,) * len(ring)) == "1"
