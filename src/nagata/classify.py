@@ -74,24 +74,9 @@ def classify(phi: Poly) -> Classification:
         raise RuntimeError(
             "zero residual but no bivariate representative; arithmetic bug"
         )
-    if p.is_zero():
-        return Classification(
-            Verdict.TAME_AUTOMORPHISM,
-            residual,
-            representative=p,
-            tame_factors=_tame_factorization(phi),
-        )
-    lead = p.weighted_leading_form(WEIGHTS)
-    lead_t1 = lead.partial("t1")
-    if not lead_t1.is_zero():
-        return Classification(
-            Verdict.WILD_AUTOMORPHISM,
-            residual,
-            representative=p,
-            leading_form=lead,
-            leading_form_t1_derivative=lead_t1,
-        )
-    if all(exp[0] == 0 for exp, _ in p.terms()):
+    lead = p.weighted_leading_form(WEIGHTS) if p else None
+    if p.partial("t1").is_zero():
+        # p has no t1, the zero polynomial included
         return Classification(
             Verdict.TAME_AUTOMORPHISM,
             residual,
@@ -100,19 +85,13 @@ def classify(phi: Poly) -> Classification:
             tame_factors=_tame_factorization(phi),
         )
     return Classification(
-        Verdict.AUTOMORPHISM_TAMENESS_UNKNOWN,
+        Verdict.WILD_AUTOMORPHISM if wild_by_leading_form(p)
+        else Verdict.AUTOMORPHISM_TAMENESS_UNKNOWN,
         residual,
         representative=p,
         leading_form=lead,
-        leading_form_t1_derivative=lead_t1,
+        leading_form_t1_derivative=lead.partial("t1"),
     )
-
-
-MINOR_NAMES = (
-    "fg_xy", "fg_yz", "fg_xz",
-    "gh_xy", "gh_yz", "gh_xz",
-    "fh_xy", "fh_yz", "fh_xz",
-)
 
 
 def leading_minors(phi: Poly) -> dict[str, Poly]:

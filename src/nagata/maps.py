@@ -10,10 +10,12 @@ It is the identity for phi = 0 and the classical Nagata automorphism for
 phi = x*z + y^2.  The map is an automorphism exactly when the residual
 -2*y*phi_x + z*phi_y vanishes, equivalently when phi = p(x*z + y^2, z)
 for a bivariate p; in that case the inverse is the map of -phi.  The
-formula is written once, in ``build_nagata``; the inverse, the Jacobian
-report and the Milnor certificate are all built through it.  A map from
+formula is written once, in ``_formula``.  ``build_nagata`` applies it to
+(x, y, z) and phi, and the inverse, the Jacobian report and the Milnor
+certificate are all built through ``build_nagata``.  A map from
 ``build_nagata`` keeps its phi, so that ``compose`` can apply the formula
-to the substituted phi instead of substituting the expanded components.
+to the inner map and the substituted phi instead of substituting the
+expanded components.
 """
 
 from __future__ import annotations
@@ -85,11 +87,15 @@ def _require_ring3(phi: Poly) -> None:
         raise ValueError("phi must be a polynomial in x, y, z")
 
 
+def _formula(f: Poly, g: Poly, h: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
+    """The map formula (f - 2*g*q - h*q^2, g + h*q, h)."""
+    return f - 2 * g * q - h * q ** 2, g + h * q, h
+
+
 def build_nagata(phi: Poly) -> NagataMap:
     """Construct the map (x - 2*y*phi - z*phi^2, y + z*phi, z)."""
     _require_ring3(phi)
-    endo = PolyEndo(X - 2 * Y * phi - Z * phi ** 2, Y + Z * phi, Z, phi)
-    return NagataMap(phi=phi, endo=endo)
+    return NagataMap(phi=phi, endo=PolyEndo(*_formula(X, Y, Z, phi), phi))
 
 
 def jacobian(e: PolyEndo) -> tuple[tuple[Poly, ...], ...]:
@@ -162,16 +168,9 @@ def compose(outer: PolyEndo, inner: PolyEndo) -> PolyEndo:
     That substitutes phi once instead of the expanded f and g, whose
     phi^2 makes them far larger.  The result carries no phi.
     """
-    values = (inner.f, inner.g, inner.h)
     if outer.phi is not None:
-        f, g, h = values
-        q = outer.phi.substitute(*values)
-        return PolyEndo(f - 2 * g * q - h * q ** 2, g + h * q, h)
-    return PolyEndo(
-        outer.f.substitute(*values),
-        outer.g.substitute(*values),
-        outer.h.substitute(*values),
-    )
+        return PolyEndo(*_formula(*inner, outer.phi.substitute(*inner)))
+    return PolyEndo(*(component.substitute(*inner) for component in outer))
 
 
 def milnor_certificate(phi: Poly) -> MilnorCertificate:

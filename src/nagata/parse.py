@@ -40,7 +40,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .poly import Exponent, Poly, RING2, RING3, Scalar, _normalized
+from .poly import Exponent, Poly, RING2, RING3, Scalar, _normalized, _numerators
 
 # a parsed value: exponent -> nonzero coefficient, {} for 0
 _Terms = dict[Exponent, Scalar]
@@ -131,13 +131,9 @@ def _shape(p: Poly) -> tuple[int, int, int, Exponent]:
     """(k, top, den, degrees) of a nonzero p: its k terms, its degree in
     each variable, and den*p has integer coefficients of absolute value at
     most top."""
-    terms = list(p._coeffs.items())
-    if len(terms) == 1:
-        (exp, c), = terms
-        return 1, abs(c.numerator), c.denominator, exp
-    den = math.lcm(*(c.denominator for _, c in terms))
-    top = max(abs(c.numerator) * (den // c.denominator) for _, c in terms)
-    return len(terms), top, den, tuple(map(max, zip(*(e for e, _ in terms))))
+    den, numerators = _numerators(p._coeffs)
+    top = max(map(abs, numerators.values()))
+    return len(numerators), top, den, tuple(map(max, zip(*numerators)))
 
 
 def _check_degree(tok: _Token, degree: int) -> None:

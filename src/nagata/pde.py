@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .poly import Exponent, Poly, RING3, T1, T2, expand_bivariate
+from .poly import Exponent, Poly, RING3, T1, T2, _numerators, expand_bivariate
 
 DEGREE_BOUND = 100
 
@@ -42,14 +41,14 @@ class KernelOracleResult:
 
     ``monomials`` fixes the coordinate order (exponent tuples ascending
     lexicographically, x-exponent first); each kernel vector lists one
-    coefficient per monomial, normalized to coprime integers with a
-    positive leading entry.
+    int coefficient per monomial; the entries are coprime and the leading
+    one is positive.
     """
 
     degree: int
     dimension: int
     monomials: tuple[Exponent, ...]
-    kernel_basis: tuple[tuple[Fraction, ...], ...]
+    kernel_basis: tuple[tuple[int, ...], ...]
 
     def polynomials(self) -> list[Poly]:
         return [
@@ -208,12 +207,11 @@ def kernel_oracle(d: int) -> KernelOracleResult:
             (j, _kernel_vector(j, pivots)) for j in block if j not in pivots
         )
     sparse.sort(key=lambda item: item[0])
-    zero = Fraction(0)
     vectors = []
     for _, v in sparse:
-        dense = [zero] * len(monomials)
+        dense = [0] * len(monomials)
         for c, x in v.items():
-            dense[c] = Fraction(x)
+            dense[c] = x
         vectors.append(tuple(dense))
     return KernelOracleResult(
         degree=d,
@@ -223,19 +221,13 @@ def kernel_oracle(d: int) -> KernelOracleResult:
     )
 
 
-def _integer_row(terms: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
-    """Sparse row of rational entries, scaled to integers."""
-    entries = dict(terms)
-    denom = math.lcm(*(x.denominator for x in entries.values()))
-    return {c: int(x * denom) for c, x in entries.items() if x}
-
-
 def _spans_agree(oracle: KernelOracleResult, basis: SolutionBasis) -> bool:
     """True iff the closed-form basis and the oracle kernel span the same
     subspace over Q (checked by exact rank computations)."""
     index = {m: i for i, m in enumerate(oracle.monomials)}
-    a_rows = [_integer_row((index[m], c) for m, c in p.terms()) for p in basis.elements]
-    b_rows = [_integer_row((c, x) for c, x in enumerate(vec) if x) for vec in oracle.kernel_basis]
+    a_rows = [{index[m]: c for m, c in _numerators(p._coeffs)[1].items()}
+              for p in basis.elements]
+    b_rows = [{c: x for c, x in enumerate(vec) if x} for vec in oracle.kernel_basis]
     rank_a = len(_echelon(a_rows))
     rank_b = len(_echelon(b_rows))
     rank_ab = len(_echelon(a_rows + b_rows))

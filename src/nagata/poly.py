@@ -195,13 +195,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self._coeffs)
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"{self} is not a constant")
-        return Fraction(next(iter(self._coeffs.values())))
-
     # -- ring arithmetic --------------------------------------------------
 
     def _coerce(self, other) -> "Poly | None":
@@ -320,7 +313,7 @@ class Poly:
     def __hash__(self) -> int:
         # constants hash like their value, so p == 5 implies equal hashes
         if self.is_constant():
-            return hash(self.constant_value())
+            return hash(next(iter(self._coeffs.values()), 0))
         return hash((self.vars, self._canonical()))
 
     # -- calculus and evaluation ------------------------------------------

@@ -17,9 +17,23 @@ from __future__ import annotations
 
 import random
 
-from .poly import Poly, RING2, RING3
+from .poly import Exponent, Poly, RING2, RING3
 
 _COEFFS = tuple(c for c in range(-9, 10) if c)
+
+
+def _sample(rng: random.Random, ring: tuple[str, ...], grid: list[Exponent],
+            keep: float) -> Poly:
+    """Keep each grid monomial with probability keep, with a nonzero
+    coefficient; one uniform grid monomial if none is kept."""
+    terms = {
+        mono: rng.choice(_COEFFS)
+        for mono in grid
+        if rng.random() < keep
+    }
+    if not terms:
+        terms[grid[rng.randrange(len(grid))]] = rng.choice(_COEFFS)
+    return Poly(ring, terms)
 
 
 def random_poly2(rng: random.Random, dvmax: int) -> Poly:
@@ -30,14 +44,7 @@ def random_poly2(rng: random.Random, dvmax: int) -> Poly:
         for k1 in range(dvmax // 2 + 1)
         for k2 in range(dvmax - 2 * k1 + 1)
     ]
-    terms = {
-        mono: rng.choice(_COEFFS)
-        for mono in grid
-        if rng.random() < 0.5
-    }
-    if not terms:
-        terms[grid[rng.randrange(len(grid))]] = rng.choice(_COEFFS)
-    return Poly(RING2, terms)
+    return _sample(rng, RING2, grid, 0.5)
 
 
 def random_poly3(rng: random.Random, max_degree: int) -> Poly:
@@ -49,11 +56,4 @@ def random_poly3(rng: random.Random, max_degree: int) -> Poly:
         for b in range(max_degree - a + 1)
         for c in range(max_degree - a - b + 1)
     ]
-    terms = {
-        mono: rng.choice(_COEFFS)
-        for mono in grid
-        if rng.random() < 0.25
-    }
-    if not terms:
-        terms[grid[rng.randrange(len(grid))]] = rng.choice(_COEFFS)
-    return Poly(RING3, terms)
+    return _sample(rng, RING3, grid, 0.25)

@@ -127,6 +127,11 @@ class TestKernelOracle:
         for d in range(9):
             assert kernel_oracle(d).dimension == d // 2 + 1
 
+    def test_kernel_vectors_are_ints(self):
+        for d in range(13):
+            for vector in kernel_oracle(d).kernel_basis:
+                assert all(type(x) is int for x in vector)
+
     def test_large_degree(self):
         result = kernel_oracle(40)
         assert result.dimension == 21

@@ -1,5 +1,6 @@
 """The package's public surface: ``nagata.__all__`` and what it binds."""
 
+import importlib
 from types import ModuleType
 
 import pytest
@@ -46,3 +47,12 @@ def test_star_import_binds_exactly_all():
 def test_removed_names_are_absent(name):
     for module in (nagata, nagata.maps, nagata.pde):
         assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("owner, name", [
+    # nagata.classify is the function, so the module is imported by name
+    (importlib.import_module("nagata.classify"), "MINOR_NAMES"),
+    (nagata.Poly, "constant_value"),
+])
+def test_removed_members_are_absent(owner, name):
+    assert not hasattr(owner, name)

@@ -1,0 +1,45 @@
+"""Pins of the seeded generators: the same seed gives the same polynomial,
+and each call draws the same random numbers, so a sequence of calls on one
+``random.Random`` is pinned too."""
+
+import random
+
+import pytest
+
+from nagata import random_poly2, random_poly3
+
+
+@pytest.mark.parametrize("seed, dvmax, text", [
+    (0, 0, "5"),  # the grid monomial is dropped; the fallback picks it
+    (0, 1, "5"),  # both grid monomials are dropped
+    (5, 2, "8"),
+    (1, 4, "-9*t1*t2^2 + 4*t2^3 - 9*t1 + 7*t2 - 7"),
+    (41, 6, "-9*t2^5 - 8*t1^3 - 5*t1*t2^2 + t2^3 - t1^2 - 2"),
+])
+def test_random_poly2_pinned(seed, dvmax, text):
+    assert str(random_poly2(random.Random(seed), dvmax)) == text
+
+
+@pytest.mark.parametrize("seed, max_degree, text", [
+    (0, 0, "5"),  # the fallback, as for random_poly2
+    (0, 1, "8*x"),  # all four grid monomials are dropped
+    (1, 2, "-9*x - 7"),
+    (7, 3, "-5*x*y^2 - 6*y^3 - 6*x^2*z - 2*x*y*z - 8*z^3 + 4*x*y - 7*y^2"
+           " - 7*y*z + 9*z^2 - 8*z"),
+    (41, 4, "-7*x^4 - 9*x^2*y^2 - 8*x^3*z + 2*x^2*y*z + 3*x*y^2*z - 5*y^3*z"
+            " - 5*x^2*z - 9*x^2 - 8*x*y - 2*y^2 - 4*z"),
+])
+def test_random_poly3_pinned(seed, max_degree, text):
+    assert str(random_poly3(random.Random(seed), max_degree)) == text
+
+
+def test_calls_on_one_rng_are_pinned():
+    rng = random.Random(3)
+    assert [str(random_poly3(rng, 2)) for _ in range(3)] == [
+        "7*x*z - 9*y + 7*z + 9", "-x^2 - 8*x*z - 5*z^2", "-6"]
+    rng = random.Random(3)
+    assert [str(random_poly2(rng, 3)) for _ in range(3)] == [
+        "-9*t2^3 + 9*t1*t2 + 7*t2 + 9", "-5*t2^3 - 5*t1 + 7", "-8*t2^3 - 9*t1"]
+    rng = random.Random(0)
+    assert [str(random_poly2(rng, 1)) for _ in range(2)] == ["5", "t2 + 8"]
+    assert rng.random() == 0.9677999949201714
