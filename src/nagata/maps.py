@@ -143,14 +143,14 @@ def decompose(phi: Poly) -> Poly | None:
     makes the recovery self-checking.
     """
     _require_ring3(phi)
-    candidate: dict[tuple[int, int], Fraction] = {}
-    for (a, b, c), coeff in phi.terms():
+    candidate: dict[tuple[int, int], int] = {}
+    for (a, b, c), coeff in phi._coeffs.items():
         if b:
             continue
         if c < a:
             return None
         candidate[(a, c - a)] = coeff
-    p = Poly(RING2, candidate)
+    p = Poly._raw(RING2, candidate, phi._den)
     return p if expand_bivariate(p) == phi else None
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .poly import Exponent, Poly, RING2, RING3, Scalar, _normalized, _numerators
+from .poly import Exponent, Poly, RING2, RING3, Scalar, _common_den
 
 # a parsed value: exponent -> nonzero coefficient, {} for 0
 _Terms = dict[Exponent, Scalar]
@@ -131,9 +131,9 @@ def _shape(p: Poly) -> tuple[int, int, int, Exponent]:
     """(k, top, den, degrees) of a nonzero p: its k terms, its degree in
     each variable, and den*p has integer coefficients of absolute value at
     most top."""
-    den, numerators = _numerators(p._coeffs)
+    numerators = p._coeffs
     top = max(map(abs, numerators.values()))
-    return len(numerators), top, den, tuple(map(max, zip(*numerators)))
+    return len(numerators), top, p._den, tuple(map(max, zip(*numerators)))
 
 
 def _check_degree(tok: _Token, degree: int) -> None:
@@ -237,7 +237,7 @@ class _Parser:
         value = self.expr()
         if self.peek().kind != "end":
             raise self.fail(frozenset({"'+'", "'-'", "'*'", "end of input"}))
-        return Poly._raw(self.names, value)
+        return Poly._raw(self.names, *_common_den(value))
 
     def expr(self) -> _Terms:
         value = self.term()
@@ -253,7 +253,7 @@ class _Parser:
                     c = -c
                 acc[e] = acc[e] + c if e in acc else c
         # cancelled terms go, so that (x - x)^n is 0 and (x + 1 - 1) a monomial
-        return _normalized(acc)
+        return {e: c for e, c in acc.items() if c}
 
     def term(self) -> _Terms:
         value = self.factor()
@@ -271,9 +271,10 @@ class _Parser:
                                       ca.denominator * cb.denominator) - 1).bit_length())
                 value = {tuple(map(add, ea, eb)): ca * cb}
             else:
-                a, b = Poly._raw(self.names, value), Poly._raw(self.names, rhs)
+                a = Poly._raw(self.names, *_common_den(value))
+                b = Poly._raw(self.names, *_common_den(rhs))
                 _check_product(tok, a, b)
-                value = (a * b)._coeffs
+                value = (a * b)._scalars()
         return value
 
     def factor(self) -> _Terms:
@@ -298,9 +299,9 @@ class _Parser:
                 _check_bits(tok, n * (max(abs(c.numerator), c.denominator) - 1).bit_length())
                 value = {tuple(n * i for i in e): c ** n}
             elif value:
-                base = Poly._raw(self.names, value)
+                base = Poly._raw(self.names, *_common_den(value))
                 _check_power(tok, base, n)
-                value = (base ** n)._coeffs
+                value = (base ** n)._scalars()
         if negate:
             return {e: -c for e, c in value.items()}
         return value
@@ -319,8 +320,6 @@ class _Parser:
                 if int(den_tok.text) == 0:
                     raise ParseError("zero denominator", den_tok.position)
                 value = Fraction(value, int(den_tok.text))
-                if value.denominator == 1:
-                    value = value.numerator
             return {self.zero: value} if value else {}
         if tok.kind == "ident":
             self.advance()

@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .poly import Exponent, Poly, RING3, T1, T2, _numerators, expand_bivariate
+from .poly import Exponent, Poly, RING3, T1, T2, expand_bivariate
 
 DEGREE_BOUND = 100
 
@@ -225,8 +225,7 @@ def _spans_agree(oracle: KernelOracleResult, basis: SolutionBasis) -> bool:
     """True iff the closed-form basis and the oracle kernel span the same
     subspace over Q (checked by exact rank computations)."""
     index = {m: i for i, m in enumerate(oracle.monomials)}
-    a_rows = [{index[m]: c for m, c in _numerators(p._coeffs)[1].items()}
-              for p in basis.elements]
+    a_rows = [{index[m]: c for m, c in p._coeffs.items()} for p in basis.elements]
     b_rows = [{c: x for c, x in enumerate(vec) if x} for vec in oracle.kernel_basis]
     rank_a = len(_echelon(a_rows))
     rank_b = len(_echelon(b_rows))

@@ -10,23 +10,22 @@ rational coefficients.  Two fixed rings are used throughout the package:
 All values are immutable after construction and safe to share between
 tasks; every operation is a pure function of its inputs.  Coefficients
 are exact rationals (floats are rejected), because every verdict in this
-package is an equality-of-polynomials decision.  Integer-valued
-coefficients are stored as plain ints and promoted to Fraction only when
-a denominator appears; the two types agree under ==, hash and
-arithmetic.  Fraction arithmetic is much slower than int arithmetic, so
-a product of two polynomials of more than one term that carry a
-denominator is taken over integer numerators: each factor is scaled by
-the least common denominator of its coefficients, the term pairs are
-multiplied as ints, and each result coefficient is divided once by the
-product of the two denominators.
+package is an equality-of-polynomials decision.
 
-A Poly keeps its terms in a dict from exponent tuple to coefficient, in
-no particular order.  Arithmetic, substitution, equality and the degree
-and leading-form queries read the dict and never sort.  The canonical
-term order is applied only where order is observed: terms(), str() and
-the hash of a non-constant polynomial sort the terms on first use and
-cache the sorted tuple (filling the cache twice gives the same tuple, so
-values stay safe to share).
+A Poly stores its coefficients as integer numerators over one positive
+denominator, as FLINT's fmpq_poly does: a dict from exponent tuple to
+nonzero int, in no particular order, and an int den >= 1 with
+gcd(den, *numerators) == 1.  That form is unique, so equal values have
+equal dicts and denominators.  Arithmetic, substitution and the degree
+and leading-form queries run on ints only and reduce each result once;
+Fraction arithmetic, which builds a value and takes a gcd per operation,
+is much slower.  A coefficient becomes an int or a Fraction only where it
+leaves the core: terms(), str(), hash(), coefficient() and evaluate().
+
+The canonical term order is applied only where order is observed:
+terms(), str() and the hash of a non-constant polynomial sort the terms
+on first use and cache the sorted tuple (filling the cache twice gives
+the same tuple, so values stay safe to share).
 
 Canonical term order: graded reverse-lexicographic, printed highest
 first (total degree descending; within a degree x before y before z and
@@ -69,8 +68,7 @@ def _as_coeff(value) -> Scalar:
     if isinstance(value, int):
         # int() turns a bool into 0 or 1, which print as numerals
         return int(value)
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+    return Fraction(value)
 
 
 def _check_weights(weights: Sequence[int], nvars: int) -> tuple[int, ...]:
@@ -89,44 +87,33 @@ def _term_key(term: tuple[Exponent, Scalar]) -> tuple[int, Exponent]:
     return (-sum(exp), exp[::-1])
 
 
-def _normalized(acc: dict[Exponent, Scalar]) -> dict[Exponent, Scalar]:
-    # type() rather than isinstance: Fraction's ABC metaclass makes
-    # isinstance(c, Fraction) slow for the common int coefficient
-    return {
-        e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-        for e, c in acc.items()
-        if c
-    }
-
-
-def _numerators(coeffs: dict[Exponent, Scalar]) -> tuple[int, dict[Exponent, int]]:
-    """(den, num): den is the least common denominator of the
-    coefficients, and num maps each exponent to den times its coefficient,
-    an int."""
-    den = math.lcm(*[c.denominator for c in coeffs.values()])
-    if den == 1:
-        return 1, coeffs
-    return den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
-
-
 def _monomial_text(names: Sequence[str], exp: Exponent) -> str:
     """The monomial of exp as printed: "x^2*y" for (2, 1, 0) in x, y, z,
     and "1" for the zero exponent."""
     return "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(names, exp) if e]) or "1"
 
 
+def _common_den(scalars: Mapping[Exponent, Scalar]) -> tuple[dict[Exponent, int], int]:
+    """The stored form of an exponent -> int or Fraction dict: its nonzero
+    coefficients as numerators over their least common denominator, which
+    shares no factor with all of them."""
+    den = math.lcm(*[c.denominator for c in scalars.values()])
+    return {e: c.numerator * (den // c.denominator) for e, c in scalars.items() if c}, den
+
+
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients.
 
     Construct from a mapping (or iterable of pairs) of exponent tuples to
-    coefficients; duplicate exponents are summed, zero coefficients are
-    dropped and integral coefficients are stored as int, so equal values
-    always have equal term dicts.
+    int or Fraction coefficients; duplicate exponents are summed and zero
+    coefficients are dropped.  The value is stored as integer numerators
+    over one reduced denominator, so equal values are stored alike.
     """
 
-    # _coeffs: exponent -> nonzero coefficient; _ordered: the canonical
-    # term tuple, None until terms(), str() or hash() first needs it
-    __slots__ = ("vars", "_coeffs", "_ordered")
+    # _coeffs: exponent -> nonzero int numerator; _den: the denominator,
+    # >= 1, with gcd(_den, *numerators) == 1; _ordered: the canonical term
+    # tuple, None until terms(), str() or hash() first needs it
+    __slots__ = ("vars", "_coeffs", "_den", "_ordered")
 
     def __init__(self, vars: Sequence[str], terms=()):  # noqa: A002 - domain term
         names = tuple(vars)
@@ -138,17 +125,24 @@ class Poly:
                 raise ValueError(f"bad exponent {exp!r} for variables {names!r}")
             acc[exp] = acc.get(exp, 0) + _as_coeff(coeff)
         self.vars = names
-        self._coeffs = _normalized(acc)
+        self._coeffs, self._den = _common_den(acc)
         self._ordered = None
 
     @classmethod
-    def _raw(cls, names: tuple[str, ...], acc: dict[Exponent, Scalar]) -> "Poly":
-        """Internal constructor for arithmetic results: the exponents are
-        known to be valid and the coefficients exact, so only zero
-        filtering and int normalization remain."""
+    def _raw(cls, names: tuple[str, ...], numerators: dict[Exponent, int], den: int) -> "Poly":
+        """Internal constructor for results, numerators over a positive den:
+        the exponents are known to be valid, so only zero filtering and
+        dividing out the common factor of den and the numerators remain."""
+        num = {e: c for e, c in numerators.items() if c}
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
         poly = cls.__new__(cls)
         poly.vars = names
-        poly._coeffs = _normalized(acc)
+        poly._coeffs = num
+        poly._den = den
         poly._ordered = None
         return poly
 
@@ -161,7 +155,8 @@ class Poly:
     @classmethod
     def constant(cls, vars: Sequence[str], value: Scalar) -> "Poly":
         names = tuple(vars)
-        return cls._raw(names, {(0,) * len(names): _as_coeff(value)})
+        value = _as_coeff(value)
+        return cls._raw(names, {(0,) * len(names): value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str) -> "Poly":
@@ -169,14 +164,22 @@ class Poly:
         if name not in names:
             raise ValueError(f"unknown variable {name!r}; ring has {names!r}")
         exp = tuple(1 if v == name else 0 for v in names)
-        return cls._raw(names, {exp: 1})
+        return cls._raw(names, {exp: 1}, 1)
 
     # -- basic structure ------------------------------------------------
+
+    def _scalars(self) -> dict[Exponent, Scalar]:
+        """Exponent -> coefficient, an int if it is integral and a Fraction
+        otherwise; the caller must not change it."""
+        den = self._den
+        if den == 1:
+            return self._coeffs
+        return {e: Fraction(c, den) if c % den else c // den for e, c in self._coeffs.items()}
 
     def _canonical(self) -> tuple[tuple[Exponent, Scalar], ...]:
         ordered = self._ordered
         if ordered is None:
-            ordered = self._ordered = tuple(sorted(self._coeffs.items(), key=_term_key))
+            ordered = self._ordered = tuple(sorted(self._scalars().items(), key=_term_key))
         return ordered
 
     def terms(self) -> Iterator[tuple[Exponent, Scalar]]:
@@ -187,7 +190,7 @@ class Poly:
         return frozenset(self._coeffs)
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return Fraction(self._coeffs.get(tuple(exp), 0))
+        return Fraction(self._coeffs.get(tuple(exp), 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -208,14 +211,21 @@ class Poly:
             return Poly.constant(self.vars, other)
         return None
 
+    def _plus(self, q: "Poly", sign: int) -> "Poly":
+        """self + sign*q over the least common denominator."""
+        den = math.lcm(self._den, q._den)
+        sa, sb = den // self._den, sign * (den // q._den)
+        out = dict(self._coeffs) if sa == 1 else {e: c * sa for e, c in self._coeffs.items()}
+        get = out.get
+        for e, c in q._coeffs.items():
+            out[e] = get(e, 0) + c * sb
+        return Poly._raw(self.vars, out, den)
+
     def __add__(self, other) -> "Poly":
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out: dict[Exponent, Scalar] = dict(self._coeffs)
-        for e, c in q._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return Poly._raw(self.vars, out)
+        return self._plus(q, 1)
 
     __radd__ = __add__
 
@@ -223,38 +233,26 @@ class Poly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out: dict[Exponent, Scalar] = dict(self._coeffs)
-        for e, c in q._coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return Poly._raw(self.vars, out)
+        return self._plus(q, -1)
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.vars, {e: -c for e, c in self._coeffs.items()})
+        return Poly._raw(self.vars, {e: -c for e, c in self._coeffs.items()}, self._den)
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly) and isinstance(other, (int, Fraction)):
-            # a scalar scales the coefficients; no constant Poly is built
-            return Poly._raw(self.vars, {e: c * other for e, c in self._coeffs.items()})
+            # a scalar scales numerators and denominator; no constant Poly is built
+            n = other.numerator
+            return Poly._raw(self.vars, {e: c * n for e, c in self._coeffs.items()},
+                             self._den * other.denominator)
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        a, b = self._coeffs, q._coeffs
-        den = 1
-        if len(a) > 1 and len(b) > 1 and Fraction in {
-                *map(type, a.values()), *map(type, b.values())}:
-            # more term pairs than result terms, and a denominator: multiply
-            # integer numerators and divide once per result term, not one
-            # Fraction product and sum per pair.  A one-term factor has as
-            # many pairs as results, so scaling it would save nothing.
-            den_a, a = _numerators(a)
-            den_b, b = _numerators(b)
-            den = den_a * den_b
-        out: dict[Exponent, Scalar] = {}
+        out: dict[Exponent, int] = {}
         get = out.get
-        terms_a, terms_b = a.items(), b.items()
+        terms_a, terms_b = self._coeffs.items(), q._coeffs.items()
         # the exponent addition is the hottest loop in the package, so the
         # two fixed arities are unrolled
         if len(self.vars) == 3:
@@ -272,11 +270,7 @@ class Poly:
                 for eb, cb in terms_b:
                     e = tuple(i + j for i, j in zip(ea, eb))
                     out[e] = get(e, 0) + ca * cb
-        if den != 1:
-            for e, c in out.items():
-                whole, rest = divmod(c, den)
-                out[e] = Fraction(c, den) if rest else whole
-        return Poly._raw(self.vars, out)
+        return Poly._raw(self.vars, out, self._den * q._den)
 
     __rmul__ = __mul__
 
@@ -289,7 +283,8 @@ class Poly:
             return Poly.constant(self.vars, 1)
         if len(self._coeffs) == 1:
             (exp, coeff), = self._coeffs.items()
-            return Poly._raw(self.vars, {tuple(n * e for e in exp): coeff ** n})
+            return Poly._raw(self.vars, {tuple(n * e for e in exp): coeff ** n},
+                             self._den ** n)
         result = None
         base = self
         while True:
@@ -305,15 +300,17 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.vars == other.vars and self._coeffs == other._coeffs
+            return (self.vars == other.vars and self._den == other._den
+                    and self._coeffs == other._coeffs)
         if isinstance(other, (int, Fraction)):
-            return self.is_constant() and next(iter(self._coeffs.values()), 0) == other
+            return self.is_constant() and next(iter(self._coeffs.values()), 0) \
+                == other * self._den
         return NotImplemented
 
     def __hash__(self) -> int:
         # constants hash like their value, so p == 5 implies equal hashes
         if self.is_constant():
-            return hash(next(iter(self._coeffs.values()), 0))
+            return hash(self.coefficient((0,) * len(self.vars)))
         return hash((self.vars, self._canonical()))
 
     # -- calculus and evaluation ------------------------------------------
@@ -323,12 +320,10 @@ class Poly:
         if var not in self.vars:
             raise ValueError(f"unknown variable {var!r}; ring has {self.vars!r}")
         i = self.vars.index(var)
-        out: dict[Exponent, Scalar] = {}
-        for exp, coeff in self._coeffs.items():
-            if exp[i]:
-                e = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
-                out[e] = out.get(e, 0) + coeff * exp[i]
-        return Poly._raw(self.vars, out)
+        # distinct exponents stay distinct after lowering exp[i]
+        out = {exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * exp[i]
+               for exp, c in self._coeffs.items() if exp[i]}
+        return Poly._raw(self.vars, out, self._den)
 
     def substitute(self, *values: "Poly") -> "Poly":
         """Substitute one polynomial per variable, expand, canonicalize.
@@ -336,10 +331,11 @@ class Poly:
         The values may live in a different ring than ``self``; they must
         all share one ring, which becomes the ring of the result.
 
-        Evaluation is a sparse multivariate Horner scheme: terms are
-        grouped by the exponent of one variable at a time and the partial
-        sums are multiplied by gap powers, which keeps intermediate
-        products far smaller than expanding term by term.
+        Evaluation is a sparse multivariate Horner scheme on the
+        numerators: terms are grouped by the exponent of one variable at a
+        time and the partial sums are multiplied by gap powers, which keeps
+        intermediate products far smaller than expanding term by term.
+        The denominator is divided in once, at the end.
         """
         if len(values) != len(self.vars):
             raise ValueError(
@@ -362,10 +358,10 @@ class Poly:
                 power_cache[i][n] = got
             return got
 
-        def emit(terms: list[tuple[Exponent, Scalar]], i: int) -> Poly:
+        def emit(terms: list[tuple[Exponent, int]], i: int) -> Poly:
             if i == nvars:
-                return Poly._raw(target, {zero: sum(c for _, c in terms)})
-            buckets: dict[int, list[tuple[Exponent, Scalar]]] = {}
+                return Poly._raw(target, {zero: sum(c for _, c in terms)}, 1)
+            buckets: dict[int, list[tuple[Exponent, int]]] = {}
             for term in terms:
                 buckets.setdefault(term[0][i], []).append(term)
             exps = sorted(buckets, reverse=True)
@@ -378,7 +374,8 @@ class Poly:
                 acc = acc * power(i, prev)
             return acc
 
-        return emit(list(self._coeffs.items()), 0)
+        acc = emit(list(self._coeffs.items()), 0)
+        return acc if self._den == 1 else Poly._raw(target, acc._coeffs, acc._den * self._den)
 
     def evaluate(self, *point: Scalar) -> Fraction:
         """Exact value at a rational point, one coordinate per variable."""
@@ -392,7 +389,7 @@ class Poly:
                 if e:
                     term *= v ** e
             total += term
-        return Fraction(total)
+        return Fraction(total) / self._den
 
     # -- degrees and leading forms -----------------------------------------
 
@@ -416,7 +413,7 @@ class Poly:
         graded = [(sum(wi * ei for wi, ei in zip(w, e)), e, c)
                   for e, c in self._coeffs.items()]
         top = max(d for d, _, _ in graded)
-        return Poly._raw(self.vars, {e: c for d, e, c in graded if d == top})
+        return Poly._raw(self.vars, {e: c for d, e, c in graded if d == top}, self._den)
 
     def leading_form(self) -> "Poly":
         """Highest total-degree homogeneous component."""
@@ -424,10 +421,10 @@ class Poly:
 
     def homogeneous_components(self) -> list[tuple[int, "Poly"]]:
         """Nonzero homogeneous parts as (degree, component), degree ascending."""
-        buckets: dict[int, dict[Exponent, Scalar]] = {}
+        buckets: dict[int, dict[Exponent, int]] = {}
         for exp, coeff in self._coeffs.items():
             buckets.setdefault(sum(exp), {})[exp] = coeff
-        return [(d, Poly._raw(self.vars, buckets[d])) for d in sorted(buckets)]
+        return [(d, Poly._raw(self.vars, buckets[d], self._den)) for d in sorted(buckets)]
 
     # -- printing -----------------------------------------------------------
 

@@ -1,7 +1,9 @@
 """Reference tokenizer and parser: the character loop and the
 ``Poly``-valued recursive descent that ``nagata.parse`` used before its
-values became exponent dicts, kept verbatim as test_pde.py keeps the
-dense kernel oracle.
+values became exponent dicts, kept as test_pde.py keeps the dense kernel
+oracle.  It reads a ``Poly`` only through ``terms()`` and builds one only
+through its public constructors, so it does not depend on how ``Poly``
+stores its coefficients.
 
 Every value here is a ``Poly``, and every "*" and "^" runs the size
 estimate of ``nagata.parse`` and then ``Poly`` arithmetic.  The package's
@@ -102,12 +104,12 @@ class _Parser:
             return value
         # the signed terms go into one dict, so a sum costs time linear
         # in its length rather than a copy of the sum so far per "+"
-        acc = dict(value._coeffs)
+        acc = dict(value.terms())
         while self.peek().kind in ("+", "-"):
             sign = 1 if self.advance().kind == "+" else -1
-            for e, c in self.term()._coeffs.items():
+            for e, c in self.term().terms():
                 acc[e] = acc.get(e, 0) + sign * c
-        return Poly._raw(self.names, acc)
+        return Poly(self.names, acc)
 
     def term(self) -> Poly:
         value = self.factor()

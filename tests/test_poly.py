@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from nagata import (
     X,
     Y,
     Z,
+    build_nagata,
+    compose,
     expand_bivariate,
 )
 from nagata.poly import _monomial_text
@@ -239,6 +242,15 @@ def _results(p, q):
     return out
 
 
+def _is_stored_reduced(p):
+    """Integer numerators, none zero, over a denominator >= 1 that shares
+    no factor with all of them."""
+    numerators = p._coeffs.values()
+    return (type(p._den) is int and p._den >= 1
+            and all(type(c) is int and c for c in numerators)
+            and math.gcd(p._den, *numerators) == 1)
+
+
 def _value(p):
     # read through coefficient() and support(), not terms(), so the
     # snapshot does not depend on the cached canonical order
@@ -259,6 +271,12 @@ class TestRepresentation:
                   p.substitute(q, T2 + 1)):
             assert _is_canonical(r)
 
+    @given(poly3s, poly3s)
+    def test_values_are_stored_reduced(self, p, q):
+        constants = [Poly.constant(RING3, c) for c in (0, -3, Fraction(6, 4), Fraction(-1, 3))]
+        for r in [p, q, *constants, *_results(p, q)]:
+            assert _is_stored_reduced(r)
+
     @given(term_lists(RING3, max_terms=8), st.randoms(use_true_random=False))
     def test_constructor_orders_shuffled_terms(self, terms, rng):
         shuffled = list(terms)
@@ -274,6 +292,11 @@ class TestRepresentation:
             (p * q - q, (p - 1) * q),
             (p, Poly(RING3, list(p.terms())[::-1])),
             (p ** 2, p * p),
+            # each pair cancels a common factor of numerators and denominator
+            (Fraction(1, 6) * X + Fraction(1, 3) * X, Fraction(1, 2) * X),
+            ((Fraction(1, 2) * X + Fraction(1, 2)) * 2, X + 1),
+            ((Fraction(1, 2) * X ** 2).partial("x"), X),
+            ((Fraction(1, 2) * X).substitute(2 * X, Y, Z), X),
         ]
         for a, b in pairs:
             assert a == b
@@ -349,8 +372,8 @@ def _kernel_polys(ring):
 
 
 class TestIntegerProductKernel:
-    """Products of rational polynomials are taken over integer numerators;
-    the per-pair Fraction loop stays here as the reference."""
+    """Products and powers over integer numerators match the per-pair
+    Fraction loop, which stays here as the reference."""
 
     def _check(self, p, q):
         before = (_value(p), _value(q))
@@ -384,6 +407,33 @@ class TestIntegerProductKernel:
         # operand on either side, integer-only operands and zero
         self._check(p, q)
         self._check(q, p)
+
+
+def test_arithmetic_with_denominators_builds_no_fraction(monkeypatch):
+    """Arithmetic runs on integer numerators: of the operations below,
+    only terms(), str() and coefficient() construct a Fraction."""
+    p = Fraction(1, 2) * X * Y - Fraction(2, 3) * Z ** 2 + Fraction(5, 4)
+    q = Fraction(3, 5) * X ** 2 + Fraction(1, 6) * Y * Z - 1
+    b = Fraction(1, 3) * T1 ** 2 - Fraction(3, 2) * T2 + Fraction(1, 4) * T1 * T2
+    two_thirds = Fraction(2, 3)
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    results = [p + q, p - q, p * q, -p, 3 * p, p * two_thirds, p ** 3,
+               p.partial("x"), p.partial("z"), p.substitute(q, p, Z), expand_bivariate(b),
+               *compose(build_nagata(p).endo, build_nagata(q).endo)]
+    assert made == []
+    str(results[2])
+    assert made, "the counter sees the Fractions that printing builds"
+    made.clear()
+    results[0].coefficient((0, 0, 0))
+    list(results[3].terms())
+    assert made
 
 
 @pytest.mark.parametrize("ring", [RING2, RING3])

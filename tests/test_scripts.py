@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("argv", [
     ["worked_examples.py"],
     ["random_survey.py", "--count", "20", "--dvmax", "6"],
+    ["profile_by_file.py", "--workload", "oracle_sweep", "--seed", "41", "--passes", "1"],
 ])
 def test_script_exits_zero(argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -26,3 +27,7 @@ def test_script_exits_zero(argv):
         rows = [line.split() for line in timing.splitlines()[1:]]
         assert rows and all(len(row) == 3 for row in rows)
         assert all(float(p50) <= float(top) for _, p50, top in rows)
+    if argv[0] == "profile_by_file.py":
+        rows = [line.split() for line in result.stdout.splitlines()[2:]]
+        assert "src/nagata/pde.py" in [row[2] for row in rows]
+        assert abs(sum(float(row[0].rstrip("%")) for row in rows) - 100) < 1
