@@ -19,13 +19,14 @@ gcd(den, *numerators) == 1.  That form is unique, so equal values have
 equal dicts and denominators.  Arithmetic, substitution and the degree
 and leading-form queries run on ints only and reduce each result once;
 Fraction arithmetic, which builds a value and takes a gcd per operation,
-is much slower.  A coefficient becomes an int or a Fraction only where it
-leaves the core: terms(), str(), hash(), coefficient() and evaluate().
+is much slower.  A coefficient becomes a Fraction only where it leaves
+the core as a number: terms(), coefficient() and evaluate().  str()
+prints each coefficient from its numerator and den, and hash() reads the
+unordered stored form.
 
 The canonical term order is applied only where order is observed:
-terms(), str() and the hash of a non-constant polynomial sort the terms
-on first use and cache the sorted tuple (filling the cache twice gives
-the same tuple, so values stay safe to share).
+terms() and str() sort the terms on each call; nothing is cached, so a
+Poly is never written after construction.
 
 Canonical term order: graded reverse-lexicographic, printed highest
 first (total degree descending; within a degree x before y before z and
@@ -110,10 +111,9 @@ class Poly:
     over one reduced denominator, so equal values are stored alike.
     """
 
-    # _coeffs: exponent -> nonzero int numerator; _den: the denominator,
-    # >= 1, with gcd(_den, *numerators) == 1; _ordered: the canonical term
-    # tuple, None until terms(), str() or hash() first needs it
-    __slots__ = ("vars", "_coeffs", "_den", "_ordered")
+    # _coeffs: exponent -> nonzero int numerator, unordered; _den: the
+    # denominator, >= 1, with gcd(_den, *numerators) == 1
+    __slots__ = ("vars", "_coeffs", "_den")
 
     def __init__(self, vars: Sequence[str], terms=()):  # noqa: A002 - domain term
         names = tuple(vars)
@@ -126,7 +126,6 @@ class Poly:
             acc[exp] = acc.get(exp, 0) + _as_coeff(coeff)
         self.vars = names
         self._coeffs, self._den = _common_den(acc)
-        self._ordered = None
 
     @classmethod
     def _raw(cls, names: tuple[str, ...], numerators: dict[Exponent, int], den: int) -> "Poly":
@@ -143,7 +142,6 @@ class Poly:
         poly.vars = names
         poly._coeffs = num
         poly._den = den
-        poly._ordered = None
         return poly
 
     # -- constructors ---------------------------------------------------
@@ -176,15 +174,9 @@ class Poly:
             return self._coeffs
         return {e: Fraction(c, den) if c % den else c // den for e, c in self._coeffs.items()}
 
-    def _canonical(self) -> tuple[tuple[Exponent, Scalar], ...]:
-        ordered = self._ordered
-        if ordered is None:
-            ordered = self._ordered = tuple(sorted(self._scalars().items(), key=_term_key))
-        return ordered
-
     def terms(self) -> Iterator[tuple[Exponent, Scalar]]:
         """Yield (exponent, coefficient) pairs in canonical order."""
-        return iter(self._canonical())
+        return iter(sorted(self._scalars().items(), key=_term_key))
 
     def support(self) -> frozenset[Exponent]:
         return frozenset(self._coeffs)
@@ -311,7 +303,8 @@ class Poly:
         # constants hash like their value, so p == 5 implies equal hashes
         if self.is_constant():
             return hash(self.coefficient((0,) * len(self.vars)))
-        return hash((self.vars, self._canonical()))
+        # the stored form is unique, so it hashes without sorting
+        return hash((self.vars, self._den, frozenset(self._coeffs.items())))
 
     # -- calculus and evaluation ------------------------------------------
 
@@ -431,19 +424,23 @@ class Poly:
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
+        den = self._den
         chunks: list[str] = []
-        for exp, coeff in self._canonical():
-            mag = -coeff if coeff < 0 else coeff
+        for exp, num in sorted(self._coeffs.items(), key=_term_key):
+            # each coefficient num/den in lowest terms, printed as Fraction does
+            mag = abs(num)
+            g = math.gcd(mag, den)
+            text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
             if not any(exp):
-                body = str(mag)
-            elif mag == 1:
+                body = text
+            elif text == "1":
                 body = _monomial_text(self.vars, exp)
             else:
-                body = str(mag) + "*" + _monomial_text(self.vars, exp)
+                body = text + "*" + _monomial_text(self.vars, exp)
             if not chunks:
-                chunks.append(f"-{body}" if coeff < 0 else body)
+                chunks.append(f"-{body}" if num < 0 else body)
             else:
-                chunks.append(f"{'-' if coeff < 0 else '+'} {body}")
+                chunks.append(f"{'-' if num < 0 else '+'} {body}")
         return " ".join(chunks)
 
     def __repr__(self) -> str:

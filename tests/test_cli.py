@@ -6,7 +6,20 @@ from pathlib import Path
 
 import pytest
 
-from nagata import DEGREE_BOUND, Poly, parse_poly2, parse_poly3
+from nagata import (
+    DEGREE_BOUND,
+    Poly,
+    PolyEndo,
+    X,
+    Y,
+    Z,
+    build_nagata,
+    compose,
+    expand_bivariate,
+    inverse_nagata,
+    parse_poly2,
+    parse_poly3,
+)
 from nagata import cli
 from nagata.pde import KernelOracleResult
 from nagata.cli import DVMAX_BOUND, run
@@ -375,14 +388,17 @@ class TestOneParserPerProcess:
         assert first[1 if expected == 0 else 2].startswith("usage: nagata")
 
 
+WILD_PHI = "3/2*x^2*z^2 + 3*x*y^2*z + 3/2*y^4 + z"
+SPOILED_PHI = WILD_PHI + " + x"  # NotAutomorphism
+TAME_PHI = "z^2 + 3"
+
+
 class TestEachPolynomialPrintedOnce:
     """The text lines are built from the payload's strings, so text mode
     prints no polynomial that --json does not."""
 
-    @pytest.mark.parametrize("phi", [
-        "3/2*x^2*z^2 + 3*x*y^2*z + 3/2*y^4 + z",  # WildAutomorphism
-        "3/2*x^2*z^2 + 3*x*y^2*z + 3/2*y^4 + z + x",  # spoiled: NotAutomorphism
-    ], ids=["wild", "spoiled"])
+    @pytest.mark.parametrize("phi", [WILD_PHI, SPOILED_PHI, TAME_PHI],
+                             ids=["wild", "spoiled", "tame"])
     def test_analyze_prints_each_polynomial_once(self, capsys, monkeypatch, phi):
         printed = []
         original = Poly.__str__
@@ -392,14 +408,35 @@ class TestEachPolynomialPrintedOnce:
             return original(self)
 
         monkeypatch.setattr(Poly, "__str__", counted)
+        # the shared coordinates are one object each wherever they appear,
+        # e.g. as the h of the inverse and of both tame factors
+        shared = {id(X), id(Y), id(Z)}
         counts = []
         for extra in ([], ["--json"]):
             printed.clear()
             run(["analyze", phi, *extra])
-            assert len({id(p) for p in printed}) == len(printed)
+            ids = [id(p) for p in printed]
+            assert all(ids.count(i) == 1 for i in ids if i not in shared)
             counts.append(len(printed))
         capsys.readouterr()
         assert counts[0] == counts[1] > 0
+
+    def test_ordered_terms_and_hash_are_not_needed(self, capsys, monkeypatch):
+        # nothing on these paths lists terms in order or hashes a Poly
+        def refuse(self):
+            raise AssertionError("Poly.terms() or hash(Poly) called")
+
+        monkeypatch.setattr(Poly, "terms", refuse)
+        monkeypatch.setattr(Poly, "__hash__", refuse)
+        unknown = "x*z + y^2 + z^3"  # AutomorphismTamenessUnknown
+        for phi, code in [(WILD_PHI, 0), (TAME_PHI, 0), (unknown, 0), (SPOILED_PHI, 1)]:
+            assert run(["analyze", phi, "--json"]) == code
+        assert run(["oracle", "12", "--json"]) == 0
+        capsys.readouterr()
+        p = parse_poly2("3/2*t1^2 - t1*t2^2 + t2^3 + 2")
+        endo, inverse = build_nagata(expand_bivariate(p)).endo, inverse_nagata(p)
+        assert compose(endo, inverse) == PolyEndo.identity()
+        assert compose(inverse, endo) == PolyEndo.identity()
 
     def test_oracle_json_builds_no_kernel_polynomials(self, capsys, monkeypatch):
         def refuse(self):

@@ -242,6 +242,11 @@ def _results(p, q):
     return out
 
 
+def _bivariate_results(p, q):
+    return [p + q, p - q, p * q, p ** 2, p.partial("t1"), expand_bivariate(p),
+            p.substitute(q, T2 + 1)]
+
+
 def _is_stored_reduced(p):
     """Integer numerators, none zero, over a denominator >= 1 that shares
     no factor with all of them."""
@@ -253,8 +258,27 @@ def _is_stored_reduced(p):
 
 def _value(p):
     # read through coefficient() and support(), not terms(), so the
-    # snapshot does not depend on the cached canonical order
+    # snapshot does not depend on the canonical order
     return {e: p.coefficient(e) for e in p.support()}
+
+
+def _reference_str(p):
+    """The printed form built from terms(), one Fraction-valued coefficient
+    per term: the reference for printing from the stored numerators."""
+    chunks = []
+    for exp, coeff in p.terms():
+        mag = -coeff if coeff < 0 else coeff
+        if not any(exp):
+            body = str(mag)
+        elif mag == 1:
+            body = _monomial_text(p.vars, exp)
+        else:
+            body = str(mag) + "*" + _monomial_text(p.vars, exp)
+        if not chunks:
+            chunks.append(f"-{body}" if coeff < 0 else body)
+        else:
+            chunks.append(f"{'-' if coeff < 0 else '+'} {body}")
+    return " ".join(chunks) or "0"
 
 
 class TestRepresentation:
@@ -267,9 +291,33 @@ class TestRepresentation:
 
     @given(poly2s, poly2s)
     def test_bivariate_results_list_terms_in_canonical_order(self, p, q):
-        for r in (p + q, p - q, p * q, p ** 2, p.partial("t1"), expand_bivariate(p),
-                  p.substitute(q, T2 + 1)):
+        for r in _bivariate_results(p, q):
             assert _is_canonical(r)
+
+    @given(poly3s, poly3s)
+    def test_results_print_like_the_reference(self, p, q):
+        for r in [p, q, *_results(p, q)]:
+            assert str(r) == _reference_str(r)
+
+    @given(poly2s, poly2s)
+    def test_bivariate_results_print_like_the_reference(self, p, q):
+        for r in [p, q, *_bivariate_results(p, q)]:
+            assert str(r) == _reference_str(r)
+
+    @pytest.mark.parametrize("p, text", [
+        (Poly.zero(RING3), "0"),
+        (Poly.constant(RING3, 1), "1"),
+        (Poly.constant(RING3, -1), "-1"),
+        (Poly.constant(RING3, Fraction(4, 2)), "2"),
+        (Poly.constant(RING3, Fraction(-1, 3)), "-1/3"),
+        (-X, "-x"),
+        (X - 1, "x - 1"),
+        # stored as 3*x + 2*y over 6: each term reduces by a different gcd
+        (Fraction(1, 2) * X + Fraction(1, 3) * Y, "1/2*x + 1/3*y"),
+        (-Fraction(3, 2) * X * Z ** 2 + 1, "-3/2*x*z^2 + 1"),
+    ])
+    def test_edge_cases_print_like_the_reference(self, p, text):
+        assert str(p) == _reference_str(p) == text
 
     @given(poly3s, poly3s)
     def test_values_are_stored_reduced(self, p, q):
@@ -410,8 +458,8 @@ class TestIntegerProductKernel:
 
 
 def test_arithmetic_with_denominators_builds_no_fraction(monkeypatch):
-    """Arithmetic runs on integer numerators: of the operations below,
-    only terms(), str() and coefficient() construct a Fraction."""
+    """Arithmetic, printing and hashing run on integer numerators: of the
+    operations below, only terms() and coefficient() construct a Fraction."""
     p = Fraction(1, 2) * X * Y - Fraction(2, 3) * Z ** 2 + Fraction(5, 4)
     q = Fraction(3, 5) * X ** 2 + Fraction(1, 6) * Y * Z - 1
     b = Fraction(1, 3) * T1 ** 2 - Fraction(3, 2) * T2 + Fraction(1, 4) * T1 * T2
@@ -427,13 +475,16 @@ def test_arithmetic_with_denominators_builds_no_fraction(monkeypatch):
     results = [p + q, p - q, p * q, -p, 3 * p, p * two_thirds, p ** 3,
                p.partial("x"), p.partial("z"), p.substitute(q, p, Z), expand_bivariate(b),
                *compose(build_nagata(p).endo, build_nagata(q).endo)]
+    for r in results:
+        if not r.is_constant():
+            str(r)
+            hash(r)
     assert made == []
-    str(results[2])
-    assert made, "the counter sees the Fractions that printing builds"
-    made.clear()
     results[0].coefficient((0, 0, 0))
+    assert made, "the counter sees the Fraction that coefficient() builds"
+    made.clear()
     list(results[3].terms())
-    assert made
+    assert made, "the counter sees the Fractions that terms() builds"
 
 
 @pytest.mark.parametrize("ring", [RING2, RING3])
