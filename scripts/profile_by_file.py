@@ -5,10 +5,13 @@ Builds the timed operations of one workload of bench/workloads.py (the
 seeded corpus the benchmark runs, imported without changing it), runs
 them for --passes whole passes under cProfile, checks every result, and
 prints each source file's share of the profiled self time, largest first.
-cProfile adds a cost to every Python call, so the shares locate work;
-speed claims come from bench/run.py.
+With --functions N it then lists the N functions with the most self
+time, with their call counts.  cProfile adds a cost to every Python
+call, so it overstates call-heavy code (generators, small helpers); the
+shares locate work, and speed claims come from bench/run.py.
 
 Run:  python scripts/profile_by_file.py --workload analyze_mix --seed 41 --passes 10
+      python scripts/profile_by_file.py --workload inverse_roundtrip --functions 15
 """
 
 import argparse
@@ -39,9 +42,13 @@ def main():
     parser.add_argument("--workload", choices=workloads.WORKLOADS, default="analyze_mix")
     parser.add_argument("--seed", type=int, default=41)
     parser.add_argument("--passes", type=int, default=10)
+    parser.add_argument("--functions", type=int, default=0, metavar="N",
+                        help="also list the N functions with the most self time")
     args = parser.parse_args()
     if args.passes < 1:
         parser.error("--passes must be at least 1")
+    if args.functions < 0:
+        parser.error("--functions must be at least 0")
 
     ops, _ = workloads.build(nagata, args.workload, args.seed)
     profile = cProfile.Profile()
@@ -54,8 +61,9 @@ def main():
             if cause:
                 raise SystemExit(f"error: a {args.workload} operation failed: {cause}")
 
+    stats = pstats.Stats(profile).stats
     by_file = Counter()
-    for (filename, _, _), (_, _, self_s, _, _) in pstats.Stats(profile).stats.items():
+    for (filename, _, _), (_, _, self_s, _, _) in stats.items():
         by_file[_label(filename)] += self_s
     total = sum(by_file.values())
     print(f"self time by file: {args.workload}, seed {args.seed}, {args.passes} passes "
@@ -63,6 +71,13 @@ def main():
     print(f"{'share':>7} {'self_s':>8}  file")
     for label, self_s in by_file.most_common():
         print(f"{100 * self_s / total:6.1f}% {self_s:8.3f}  {label}")
+    if args.functions:
+        print(f"\ntop {args.functions} functions by self time")
+        print(f"{'share':>7} {'self_s':>8} {'calls':>9}  function")
+        top = sorted(stats.items(), key=lambda item: item[1][2], reverse=True)
+        for (filename, line, name), (_, calls, self_s, _, _) in top[:args.functions]:
+            where = name if filename == "~" else f"{_label(filename)}:{line}({name})"
+            print(f"{100 * self_s / total:6.1f}% {self_s:8.3f} {calls:9d}  {where}")
 
 
 if __name__ == "__main__":

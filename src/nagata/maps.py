@@ -16,6 +16,13 @@ certificate are all built through ``build_nagata``.  A map from
 ``build_nagata`` keeps its phi, so that ``compose`` can apply the formula
 to the inner map and the substituted phi instead of substituting the
 expanded components.
+
+Every map of the family fixes z and satisfies z*f + g^2 = x*z + y^2 (the
+2*y*z*phi and z^2*phi^2 terms cancel).  So when phi = p(x*z + y^2, z),
+phi composed with an inner map (F, G, H) is q = p(H*F + G^2, H), and for
+an inner map of the family that is p(x*z + y^2, z) again: ``compose``
+substitutes the few terms of p into two small polynomials instead of
+the expanded phi into three large ones.
 """
 
 from __future__ import annotations
@@ -166,10 +173,17 @@ def compose(outer: PolyEndo, inner: PolyEndo) -> PolyEndo:
     When outer is the map of phi, the result is the map formula applied to
     inner = (F, G, H) and q = phi(F, G, H): (F - 2*G*q - H*q^2, G + H*q, H).
     That substitutes phi once instead of the expanded f and g, whose
-    phi^2 makes them far larger.  The result carries no phi.
+    phi^2 makes them far larger.  When phi = p(x*z + y^2, z) has a
+    representative p, q = p(H*F + G^2, H) instead, which is exact for any
+    inner map and small: for an inner map of the family H*F + G^2 is
+    x*z + y^2 again, so only the few terms of p are substituted, not the
+    expanded phi.  The result carries no phi.
     """
     if outer.phi is not None:
-        return PolyEndo(*_formula(*inner, outer.phi.substitute(*inner)))
+        f, g, h = inner
+        p = decompose(outer.phi)
+        q = outer.phi.substitute(f, g, h) if p is None else p.substitute(h * f + g * g, h)
+        return PolyEndo(*_formula(f, g, h, q))
     return PolyEndo(*(component.substitute(*inner) for component in outer))
 
 

@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .poly import Exponent, Poly, RING3, T1, T2, expand_bivariate
+from .poly import Exponent, Poly, RING2, RING3, expand_bivariate
 
 DEGREE_BOUND = 100
 
@@ -76,7 +76,7 @@ def solution_basis(d: int) -> SolutionBasis:
     for 0 <= d <= DEGREE_BOUND."""
     _check_degree(d)
     elements = tuple(
-        expand_bivariate(T1 ** k1 * T2 ** k2) for k1, k2 in invariant_monomials(d)
+        expand_bivariate(Poly(RING2, {(k1, k2): 1})) for k1, k2 in invariant_monomials(d)
     )
     return SolutionBasis(degree=d, elements=elements)
 

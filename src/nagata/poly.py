@@ -24,6 +24,11 @@ the core as a number: terms(), coefficient() and evaluate().  str()
 prints each coefficient from its numerator and den, and hash() reads the
 unordered stored form.
 
+expand_bivariate(p) = p(x*z + y^2, z) is written in closed form: by the
+binomial theorem c*t1^k*t2^m expands to the terms c*C(k,i)*x^i*y^(2k-2i)*
+z^(i+m), 0 <= i <= k, and since the exponent (i, 2k-2i, i+m) determines
+(k, m, i), no two of them collide.  The expansion needs no product.
+
 The canonical term order is applied only where order is observed:
 terms() and str() sort the terms on each call; nothing is cached, so a
 Poly is never written after construction.
@@ -455,7 +460,20 @@ T2 = Poly.variable(RING2, "t2")
 
 
 def expand_bivariate(p: Poly) -> Poly:
-    """Expand p(t1, t2) at t1 = x*z + y^2, t2 = z."""
+    """Expand p(t1, t2) at t1 = x*z + y^2, t2 = z.
+
+    By the binomial theorem each term expands on its own,
+
+        c*t1^k*t2^m  ->  sum over 0 <= i <= k of  c*C(k,i) * x^i*y^(2k-2i)*z^(i+m),
+
+    and the output exponent (i, 2k-2i, i+m) gives back i, then k and m,
+    so no two output terms share an exponent: the result is one dict of
+    numerators over p's denominator, with no product and no sum to
+    collect.
+    """
     if p.vars != RING2:
         raise ValueError("expand_bivariate expects a polynomial in t1, t2")
-    return p.substitute(X * Z + Y ** 2, Z)
+    comb = math.comb
+    out = {(i, 2 * (k - i), i + m): c * comb(k, i)
+           for (k, m), c in p._coeffs.items() for i in range(k + 1)}
+    return Poly._raw(RING3, out, p._den)

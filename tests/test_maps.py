@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nagata import (
     Poly,
@@ -228,6 +229,57 @@ class TestStructuredCompose:
                 assert structured.f == generic.f
                 assert structured.g == generic.g
                 assert structured.h == generic.h
+
+
+def _componentwise(outer, inner):
+    """The reference: each component of outer substituted with inner."""
+    return PolyEndo(*(component.substitute(*inner) for component in outer))
+
+
+_inners = st.tuples(poly3s, poly3s, poly3s).map(lambda parts: PolyEndo(*parts))
+
+
+class TestComposeThroughRepresentative:
+    """An outer map whose phi = p(x*z + y^2, z) composes through q =
+    p(H*F + G^2, H); every other phi keeps phi(F, G, H)."""
+
+    @given(polys(RING2, max_exp=2, max_terms=3), _inners)
+    @settings(max_examples=30)
+    def test_invariant_phi_with_arbitrary_inner(self, p, inner):
+        outer = build_nagata(expand_bivariate(p)).endo
+        assert compose(outer, inner) == _componentwise(outer, inner)
+
+    @pytest.mark.parametrize("phi", [
+        expand_bivariate(T1 * T2 - Fraction(1, 2) * T2) + X,   # spoiled
+        Poly.zero(RING3),
+        Poly.constant(RING3, Fraction(-3, 2)),
+    ], ids=["spoiled", "zero", "constant"])
+    @given(inner=_inners)
+    @settings(max_examples=15)
+    def test_spoiled_zero_and_constant_phi_with_arbitrary_inner(self, phi, inner):
+        outer = build_nagata(phi).endo
+        assert compose(outer, inner) == _componentwise(outer, inner)
+
+    @pytest.mark.parametrize("p", [
+        T1 ** 2,
+        T1 ** 3 * T2 - Fraction(2, 3) * T1 ** 2 + T2 ** 2,
+        Fraction(1, 4) * T1 ** 4 + 5 * T1 * T2 ** 3 - 1,
+    ])
+    def test_roundtrip_substitutes_no_ring3_polynomial(self, monkeypatch, p):
+        endo = build_nagata(expand_bivariate(p)).endo
+        inverse = inverse_nagata(p)
+        rings = []
+        substitute = Poly.substitute
+
+        def recording(self, *values):
+            rings.append(self.vars)
+            return substitute(self, *values)
+
+        monkeypatch.setattr(Poly, "substitute", recording)
+        assert compose(endo, inverse) == IDENTITY
+        assert compose(inverse, endo) == IDENTITY
+        assert rings, "the representative p is substituted"
+        assert RING3 not in rings
 
 
 class TestMilnorCertificate:

@@ -22,7 +22,7 @@ from nagata import (
     expand_bivariate,
 )
 from nagata.poly import _monomial_text
-from _strategies import nonzero_poly2s, points3, poly2s, poly3s, term_lists
+from _strategies import nonzero_poly2s, points3, poly2s, poly3s, rationals, term_lists
 
 PHI = X * Z + Y ** 2
 EXWW = T1 ** 2 - T2 ** 3 + T1 * T2 ** 2
@@ -200,6 +200,32 @@ class TestExpandBivariate:
     def test_wrong_ring_rejected(self):
         with pytest.raises(ValueError):
             expand_bivariate(X)
+
+    @staticmethod
+    def _reference(p):
+        """The expansion by general substitution, which the closed form
+        replaces."""
+        return p.substitute(X * Z + Y ** 2, Z)
+
+    @given(st.one_of(poly2s, rationals.map(lambda c: Poly.constant(RING2, c))))
+    def test_closed_form_matches_substitution(self, p):
+        phi = expand_bivariate(p)
+        assert phi == self._reference(p)
+        assert _is_stored_reduced(phi)
+
+    @pytest.mark.parametrize("p", [
+        T1 ** 40 * T2 ** 3 + Fraction(1, 3) * T1 ** 39,
+        Fraction(7, 2) * T2 ** 5,
+        Poly.zero(RING2),
+        Poly.constant(RING2, Fraction(-5, 6)),
+        Poly.constant(RING2, 4),
+        -3 * T1 ** 3 + Fraction(2, 9) * T1 * T2 ** 2 - Fraction(1, 6),
+        Fraction(6, 35) * T1 ** 7 + Fraction(10, 21) * T2,
+    ])
+    def test_closed_form_fixed_cases(self, p):
+        phi = expand_bivariate(p)
+        assert phi == self._reference(p)
+        assert _is_stored_reduced(phi)
 
     @given(nonzero_poly2s)
     def test_degree_equals_weighted_degree(self, p):
