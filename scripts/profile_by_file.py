@@ -5,13 +5,12 @@ Builds the timed operations of one workload of bench/workloads.py (the
 seeded corpus the benchmark runs, imported without changing it), runs
 them for --passes whole passes under cProfile, checks every result, and
 prints each source file's share of the profiled self time, largest first.
-With --functions N it then lists the N functions with the most self
-time, with their call counts.  cProfile adds a cost to every Python
+It then lists the 15 functions with the most self time, with their
+call counts.  cProfile adds a cost to every Python
 call, so it overstates call-heavy code (generators, small helpers); the
 shares locate work, and speed claims come from bench/run.py.
 
 Run:  python scripts/profile_by_file.py --workload analyze_mix --seed 41 --passes 10
-      python scripts/profile_by_file.py --workload inverse_roundtrip --functions 15
 """
 
 import argparse
@@ -29,6 +28,8 @@ import nagata  # noqa: E402
 import nagata.cli  # noqa: E402,F401 - workloads call nagata.cli.run
 import workloads  # noqa: E402
 
+TOP_FUNCTIONS = 15
+
 
 def _label(filename: str) -> str:
     if filename == "~":
@@ -42,13 +43,9 @@ def main():
     parser.add_argument("--workload", choices=workloads.WORKLOADS, default="analyze_mix")
     parser.add_argument("--seed", type=int, default=41)
     parser.add_argument("--passes", type=int, default=10)
-    parser.add_argument("--functions", type=int, default=0, metavar="N",
-                        help="also list the N functions with the most self time")
     args = parser.parse_args()
     if args.passes < 1:
         parser.error("--passes must be at least 1")
-    if args.functions < 0:
-        parser.error("--functions must be at least 0")
 
     ops, _ = workloads.build(nagata, args.workload, args.seed)
     profile = cProfile.Profile()
@@ -71,13 +68,12 @@ def main():
     print(f"{'share':>7} {'self_s':>8}  file")
     for label, self_s in by_file.most_common():
         print(f"{100 * self_s / total:6.1f}% {self_s:8.3f}  {label}")
-    if args.functions:
-        print(f"\ntop {args.functions} functions by self time")
-        print(f"{'share':>7} {'self_s':>8} {'calls':>9}  function")
-        top = sorted(stats.items(), key=lambda item: item[1][2], reverse=True)
-        for (filename, line, name), (_, calls, self_s, _, _) in top[:args.functions]:
-            where = name if filename == "~" else f"{_label(filename)}:{line}({name})"
-            print(f"{100 * self_s / total:6.1f}% {self_s:8.3f} {calls:9d}  {where}")
+    print(f"\ntop {TOP_FUNCTIONS} functions by self time")
+    print(f"{'share':>7} {'self_s':>8} {'calls':>9}  function")
+    top = sorted(stats.items(), key=lambda item: item[1][2], reverse=True)
+    for (filename, line, name), (_, calls, self_s, _, _) in top[:TOP_FUNCTIONS]:
+        where = name if filename == "~" else f"{_label(filename)}:{line}({name})"
+        print(f"{100 * self_s / total:6.1f}% {self_s:8.3f} {calls:9d}  {where}")
 
 
 if __name__ == "__main__":

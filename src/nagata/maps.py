@@ -14,15 +14,15 @@ formula is written once, in ``_formula``.  ``build_nagata`` applies it to
 (x, y, z) and phi, and the inverse, the Jacobian report and the Milnor
 certificate are all built through ``build_nagata``.  A map from
 ``build_nagata`` keeps its phi, so that ``compose`` can apply the formula
-to the inner map and the substituted phi instead of substituting the
-expanded components.
+to the inner map instead of substituting the expanded components.
 
 Every map of the family fixes z and satisfies z*f + g^2 = x*z + y^2 (the
 2*y*z*phi and z^2*phi^2 terms cancel).  So when phi = p(x*z + y^2, z),
 phi composed with an inner map (F, G, H) is q = p(H*F + G^2, H), and for
 an inner map of the family that is p(x*z + y^2, z) again: ``compose``
 substitutes the few terms of p into two small polynomials instead of
-the expanded phi into three large ones.
+the expanded phi into three large ones.  A phi with no representative
+composes componentwise, like a map without phi.
 """
 
 from __future__ import annotations
@@ -170,20 +170,19 @@ def inverse_nagata(p: Poly) -> PolyEndo:
 def compose(outer: PolyEndo, inner: PolyEndo) -> PolyEndo:
     """Componentwise substitution of inner into outer, fully expanded.
 
-    When outer is the map of phi, the result is the map formula applied to
-    inner = (F, G, H) and q = phi(F, G, H): (F - 2*G*q - H*q^2, G + H*q, H).
-    That substitutes phi once instead of the expanded f and g, whose
-    phi^2 makes them far larger.  When phi = p(x*z + y^2, z) has a
-    representative p, q = p(H*F + G^2, H) instead, which is exact for any
-    inner map and small: for an inner map of the family H*F + G^2 is
-    x*z + y^2 again, so only the few terms of p are substituted, not the
-    expanded phi.  The result carries no phi.
+    When outer is the map of phi = p(x*z + y^2, z), the result is the map
+    formula applied to inner = (F, G, H) and q = p(H*F + G^2, H):
+    (F - 2*G*q - H*q^2, G + H*q, H).  That is exact for any inner map and
+    small: for an inner map of the family H*F + G^2 is x*z + y^2 again,
+    so only the few terms of p are substituted, not the expanded f and g,
+    whose phi^2 makes them far larger.  Every other outer map, including
+    one whose phi has no representative, is substituted componentwise.
+    The result carries no phi.
     """
-    if outer.phi is not None:
+    p = decompose(outer.phi) if outer.phi is not None else None
+    if p is not None:
         f, g, h = inner
-        p = decompose(outer.phi)
-        q = outer.phi.substitute(f, g, h) if p is None else p.substitute(h * f + g * g, h)
-        return PolyEndo(*_formula(f, g, h, q))
+        return PolyEndo(*_formula(f, g, h, p.substitute(h * f + g * g, h)))
     return PolyEndo(*(component.substitute(*inner) for component in outer))
 
 

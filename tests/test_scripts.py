@@ -14,8 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
     ["worked_examples.py"],
     ["random_survey.py", "--count", "20", "--dvmax", "6"],
     ["profile_by_file.py", "--workload", "oracle_sweep", "--seed", "41", "--passes", "1"],
-    ["profile_by_file.py", "--workload", "oracle_sweep", "--seed", "41", "--passes", "1",
-     "--functions", "5"],
 ])
 def test_script_exits_zero(argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -34,15 +32,12 @@ def test_script_exits_zero(argv):
         rows = [line.split() for line in files.splitlines()[2:]]
         assert "src/nagata/pde.py" in [row[2] for row in rows]
         assert abs(sum(float(row[0].rstrip("%")) for row in rows) - 100) < 1
-        if "--functions" in argv:
-            lines = functions.splitlines()
-            assert lines[0] == "5 functions by self time"
-            rows = [line.split(None, 3) for line in lines[2:]]
-            assert len(rows) == 5
-            shares = [float(row[0].rstrip("%")) for row in rows]
-            assert shares == sorted(shares, reverse=True) and sum(shares) <= 100
-            assert all(int(row[2]) >= 1 for row in rows)
-            # file:line(function), or a built-in's own name
-            assert all(row[3].endswith(")") or row[3].endswith(">") for row in rows)
-        else:
-            assert not functions
+        lines = functions.splitlines()
+        assert lines[0] == "15 functions by self time"
+        rows = [line.split(None, 3) for line in lines[2:]]
+        assert len(rows) == 15
+        shares = [float(row[0].rstrip("%")) for row in rows]
+        assert shares == sorted(shares, reverse=True) and sum(shares) <= 100
+        assert all(int(row[2]) >= 1 for row in rows)
+        # file:line(function), or a built-in's own name
+        assert all(row[3].endswith(")") or row[3].endswith(">") for row in rows)
