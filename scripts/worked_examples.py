@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Walk through the package's headline computations and print each result.
 
-Covers the classical Nagata automorphism, two maps that fail to be
+Covers the classical Nagata automorphism (its inverse and the group law
+compose(N(a), N(b)) = N(a + b)), two maps that fail to be
 automorphisms (with an explicit point collision), the wild family
 (x*z + y^2)^n, a mixed example whose weighted leading form differs from
 its plain leading form, the per-degree solution-space check against the
@@ -55,6 +56,8 @@ def main():
     inverse = inverse_nagata(p)
     assert compose(nag.endo, inverse) == PolyEndo.identity()
     print("inverse verified by composition; inverse f' =", inverse.f)
+    assert compose(nag.endo, build_nagata(Z).endo) == build_nagata(PHI + Z).endo
+    print("group law verified: compose(N(t1), N(t2)) = N(t1 + t2), the map of phi =", PHI + Z)
     print("lojasiewicz exponent =", loj_exponent(p).exponent)
     cert = milnor_certificate(PHI)
     print("ideal certificate: x = f + (2*phi)*g + (-phi^2)*h, with 2*phi =",

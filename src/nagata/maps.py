@@ -10,19 +10,23 @@ It is the identity for phi = 0 and the classical Nagata automorphism for
 phi = x*z + y^2.  The map is an automorphism exactly when the residual
 -2*y*phi_x + z*phi_y vanishes, equivalently when phi = p(x*z + y^2, z)
 for a bivariate p; in that case the inverse is the map of -phi.  The
-formula is written once, in ``_formula``.  ``build_nagata`` applies it to
-(x, y, z) and phi, and the inverse, the Jacobian report and the Milnor
-certificate are all built through ``build_nagata``.  A map from
-``build_nagata`` keeps its phi, so that ``compose`` can apply the formula
-to the inner map instead of substituting the expanded components.
+formula is written once, in ``build_nagata``, and the inverse, the
+Jacobian report and the Milnor certificate are all built through it.  A
+map from ``build_nagata`` keeps its phi, so that ``compose`` can add
+phis instead of substituting the expanded components.
 
 Every map of the family fixes z and satisfies z*f + g^2 = x*z + y^2 (the
-2*y*z*phi and z^2*phi^2 terms cancel).  So when phi = p(x*z + y^2, z),
-phi composed with an inner map (F, G, H) is q = p(H*F + G^2, H), and for
-an inner map of the family that is p(x*z + y^2, z) again: ``compose``
-substitutes the few terms of p into two small polynomials instead of
-the expanded phi into three large ones.  A phi with no representative
-composes componentwise, like a map without phi.
+2*y*z*phi and z^2*phi^2 terms cancel), so it leaves every a = p(x*z +
+y^2, z) unchanged, whatever its own phi b.  Substituting it into the map
+of a then gives the map of a + b: writing N(phi) for the map of phi,
+
+    compose(N(a), N(b)) = N(a + b).
+
+Such an a lies in the kernel of the locally nilpotent derivation
+D = -2*y*d/dx + z*d/dy, N(a) is exp(a*D), and these maps form a group
+(van den Essen, *Polynomial Automorphisms and the Jacobian Conjecture*,
+2000, ch. 1-2).  Only a needs a representative; b may be any
+polynomial.
 """
 
 from __future__ import annotations
@@ -37,13 +41,14 @@ from .poly import Poly, RING2, RING3, Scalar, X, Y, Z, expand_bivariate
 class PolyEndo:
     """An endomorphism of Q[x,y,z], given by the images of x, y, z.
 
-    ``phi`` is set only on maps built by ``build_nagata``, for ``compose``;
-    equality, hashing and repr ignore it."""
+    ``phi`` is not a constructor argument: only ``build_nagata`` sets it,
+    for ``compose``, which trusts it.  Equality, hashing and repr ignore
+    it."""
 
     f: Poly
     g: Poly
     h: Poly
-    phi: Poly | None = field(default=None, compare=False, repr=False)
+    phi: Poly | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for c in (self.f, self.g, self.h):
@@ -94,15 +99,12 @@ def _require_ring3(phi: Poly) -> None:
         raise ValueError("phi must be a polynomial in x, y, z")
 
 
-def _formula(f: Poly, g: Poly, h: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
-    """The map formula (f - 2*g*q - h*q^2, g + h*q, h)."""
-    return f - 2 * g * q - h * q ** 2, g + h * q, h
-
-
 def build_nagata(phi: Poly) -> NagataMap:
     """Construct the map (x - 2*y*phi - z*phi^2, y + z*phi, z)."""
     _require_ring3(phi)
-    return NagataMap(phi=phi, endo=PolyEndo(*_formula(X, Y, Z, phi), phi))
+    endo = PolyEndo(X - 2 * Y * phi - Z * phi ** 2, Y + Z * phi, Z)
+    object.__setattr__(endo, "phi", phi)
+    return NagataMap(phi=phi, endo=endo)
 
 
 def jacobian(e: PolyEndo) -> tuple[tuple[Poly, ...], ...]:
@@ -170,19 +172,16 @@ def inverse_nagata(p: Poly) -> PolyEndo:
 def compose(outer: PolyEndo, inner: PolyEndo) -> PolyEndo:
     """Componentwise substitution of inner into outer, fully expanded.
 
-    When outer is the map of phi = p(x*z + y^2, z), the result is the map
-    formula applied to inner = (F, G, H) and q = p(H*F + G^2, H):
-    (F - 2*G*q - H*q^2, G + H*q, H).  That is exact for any inner map and
-    small: for an inner map of the family H*F + G^2 is x*z + y^2 again,
-    so only the few terms of p are substituted, not the expanded f and g,
-    whose phi^2 makes them far larger.  Every other outer map, including
-    one whose phi has no representative, is substituted componentwise.
-    The result carries no phi.
+    When both maps come from ``build_nagata`` and outer's phi = a has a
+    representative, the result is the map of a + b, where b is inner's
+    phi (the group law in the module docstring).  That holds for any b,
+    since every map of the family leaves a = p(x*z + y^2, z) unchanged,
+    and no component is substituted.  Every other pair, an outer phi
+    with no representative included, is substituted componentwise.  Only
+    the first path's result carries a phi.
     """
-    p = decompose(outer.phi) if outer.phi is not None else None
-    if p is not None:
-        f, g, h = inner
-        return PolyEndo(*_formula(f, g, h, p.substitute(h * f + g * g, h)))
+    if inner.phi is not None and outer.phi is not None and decompose(outer.phi) is not None:
+        return build_nagata(outer.phi + inner.phi).endo
     return PolyEndo(*(component.substitute(*inner) for component in outer))
 
 

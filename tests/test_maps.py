@@ -208,6 +208,10 @@ class TestStructuredCompose:
         assert IDENTITY.phi is None
         assert compose(build_nagata(PHI).endo, IDENTITY).phi is None
 
+    def test_phi_is_no_constructor_argument(self):
+        with pytest.raises(TypeError):
+            PolyEndo(X, Y, Z, X)
+
     @pytest.mark.parametrize(
         "phi", [Poly.zero(RING3), PHI, X, random_poly3(random.Random(5), 3)]
     )
@@ -232,30 +236,60 @@ class TestStructuredCompose:
                 assert structured.h == generic.h
 
 
-class TestComposeThroughRepresentative:
-    """An outer map whose phi = p(x*z + y^2, z) composes through q =
-    p(H*F + G^2, H), substituting only bivariate polynomials."""
+class TestGroupLaw:
+    """compose(N(a), N(b)) = N(a + b) when a = p(x*z + y^2, z), for any b."""
 
     @pytest.mark.parametrize("p", [
         T1 ** 2,
         T1 ** 3 * T2 - Fraction(2, 3) * T1 ** 2 + T2 ** 2,
         Fraction(1, 4) * T1 ** 4 + 5 * T1 * T2 ** 3 - 1,
     ])
-    def test_roundtrip_substitutes_no_ring3_polynomial(self, monkeypatch, p):
+    def test_roundtrip_substitutes_nothing(self, monkeypatch, p):
         endo = build_nagata(expand_bivariate(p)).endo
         inverse = inverse_nagata(p)
-        rings = []
+        calls = []
         substitute = Poly.substitute
 
         def recording(self, *values):
-            rings.append(self.vars)
+            calls.append(self.vars)
             return substitute(self, *values)
 
         monkeypatch.setattr(Poly, "substitute", recording)
-        assert compose(endo, inverse) == IDENTITY
-        assert compose(inverse, endo) == IDENTITY
-        assert rings, "the representative p is substituted"
-        assert RING3 not in rings
+        for outer, inner in ((endo, inverse), (inverse, endo)):
+            result = compose(outer, inner)
+            assert result == IDENTITY
+            assert result.phi == 0
+        assert calls == []
+        spoiled = build_nagata(X * Y - Z).endo
+        assert compose(endo, spoiled).phi == endo.phi + X * Y - Z
+
+    @given(poly2s, poly3s)
+    @settings(max_examples=25)
+    def test_any_inner_phi(self, p, b):
+        a = expand_bivariate(p)
+        outer, inner = build_nagata(a).endo, build_nagata(b).endo
+        result = compose(outer, inner)
+        assert result.phi == a + b
+        assert result == build_nagata(a + b).endo
+        assert result == compose(_plain(outer), _plain(inner))
+
+    @given(poly2s, poly2s, poly3s)
+    @settings(max_examples=25)
+    def test_chain_of_three(self, p, q, c):
+        a, b = expand_bivariate(p), expand_bivariate(q)
+        na, nb, nc = (build_nagata(phi).endo for phi in (a, b, c))
+        for chain in (compose(na, compose(nb, nc)), compose(compose(na, nb), nc)):
+            assert chain.phi == a + b + c
+            assert chain == build_nagata(a + b + c).endo
+
+    @given(poly3s, poly2s)
+    @settings(max_examples=25)
+    def test_outer_without_representative_composes_componentwise(self, b, p):
+        a = expand_bivariate(p) + X
+        outer, inner = build_nagata(a).endo, build_nagata(b).endo
+        result = compose(outer, inner)
+        assert result.phi is None
+        assert result == compose(_plain(outer), _plain(inner))
 
 
 class TestMilnorCertificate:
