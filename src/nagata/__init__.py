@@ -42,7 +42,6 @@ from .pde import (
     verify_basis_against_oracle,
 )
 from .poly import (
-    NEG_INFINITY,
     Poly,
     RING2,
     RING3,

@@ -262,11 +262,6 @@ def _cmd_random(args) -> tuple[int, dict, list[str]]:
     return 0, payload, [f"p: {payload['p']}", *lines]
 
 
-def _add_json_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true",
-                     help="emit machine-readable JSON on stdout")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first ``run`` and then reused."""
@@ -279,50 +274,44 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("analyze", help="residual, Jacobian determinant, automorphy, "
                                        "representative, classification, exponent")
     s.add_argument("phi", help="polynomial in x, y, z, e.g. 'x*z + y^2'")
-    _add_json_flag(s)
 
     s = sub.add_parser("invert", help="explicit inverse of the map built from p(t1, t2)")
     s.add_argument("p", help="polynomial in t1, t2")
-    _add_json_flag(s)
 
     s = sub.add_parser("compose", help="compose two endomorphisms (outer after inner)")
     s.add_argument("outer", help="three comma-separated polynomials in x, y, z")
     s.add_argument("inner", help="three comma-separated polynomials in x, y, z")
-    _add_json_flag(s)
 
     s = sub.add_parser("classify", help="NotAutomorphism / WildAutomorphism / "
                                         "TameAutomorphism / AutomorphismTamenessUnknown")
     s.add_argument("phi")
-    _add_json_flag(s)
 
     s = sub.add_parser("basis", help="closed-form basis of homogeneous solutions "
                                      "of the residual equation in one degree")
     s.add_argument("degree", type=int, help=f"0 to {DEGREE_BOUND}")
-    _add_json_flag(s)
 
     s = sub.add_parser("oracle", help="exact kernel of the residual map in one degree, "
                                       "plus a span check against the closed-form basis")
     s.add_argument("degree", type=int, help=f"0 to {DEGREE_BOUND}")
-    _add_json_flag(s)
 
     s = sub.add_parser("loj", help="Lojasiewicz exponent at infinity; with a second "
                                    "argument, compare against a deformation")
     s.add_argument("p", help="polynomial in t1, t2")
     s.add_argument("p_s", nargs="?", default=None,
                    help="deformation with supp(p) contained in supp(p_s)")
-    _add_json_flag(s)
 
     s = sub.add_parser("decompose", help="recover p with phi = p(x*z + y^2, z), if it exists")
     s.add_argument("phi")
-    _add_json_flag(s)
 
     s = sub.add_parser("random", help="reproducible random p and its full analysis")
     s.add_argument("--dvmax", type=int, default=6,
                    help="bound on the (2,1)-weighted degree of p, "
                         f"0 to {DVMAX_BOUND} (default 6)")
     s.add_argument("--seed", type=int, default=0)
-    _add_json_flag(s)
 
+    for s in sub.choices.values():
+        s.add_argument("--json", action="store_true",
+                       help="emit machine-readable JSON on stdout")
     return parser
 
 
@@ -330,10 +319,8 @@ def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has already printed the message
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        # it exits only through ArgumentParser.exit: 0 for -h, 2 on a usage error
+        return exc.code
     try:
         # the handler is looked up by name at call time, not held by the
         # cached parser, so a replaced _cmd_* function is the one that runs
@@ -359,7 +346,3 @@ def run(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(run())

@@ -39,8 +39,6 @@ class DeformationReport:
 def loj_exponent(p: Poly) -> LojReport:
     """Exponent 1/deg(inverse) of the automorphism built from
     phi = p(x*z + y^2, z), with the inverse degree measured, not assumed."""
-    if p.vars != RING2:
-        raise ValueError("loj_exponent expects a bivariate representative in t1, t2")
     phi = expand_bivariate(p)
     return _loj_report(phi, build_nagata(-phi).endo)
 

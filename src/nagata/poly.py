@@ -52,22 +52,6 @@ RING3 = ("x", "y", "z")
 RING2 = ("t1", "t2")
 
 
-class _NegInfinity:
-    """Degree of the zero polynomial.
-
-    Deliberately not orderable: code that forgets the zero case raises a
-    TypeError instead of silently comparing against -1.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "NEG_INFINITY"
-
-
-NEG_INFINITY = _NegInfinity()
-
-
 def _as_coeff(value) -> Scalar:
     if isinstance(value, float):
         raise TypeError("floating point coefficients are not allowed; use Fraction")
@@ -391,16 +375,17 @@ class Poly:
 
     # -- degrees and leading forms -----------------------------------------
 
-    def total_degree(self) -> "int | _NegInfinity":
+    def total_degree(self) -> int:
+        """Max of the exponent sums over the support; ValueError for 0."""
         if not self._coeffs:
-            return NEG_INFINITY
+            raise ValueError("zero polynomial has no degree")
         return max(map(sum, self._coeffs))
 
-    def weighted_degree(self, weights: Sequence[int]) -> "int | _NegInfinity":
-        """Max of <weights, exponent> over the support; NEG_INFINITY for 0."""
+    def weighted_degree(self, weights: Sequence[int]) -> int:
+        """Max of <weights, exponent> over the support; ValueError for 0."""
         w = _check_weights(weights, len(self.vars))
         if not self._coeffs:
-            return NEG_INFINITY
+            raise ValueError("zero polynomial has no degree")
         return max(sum(wi * ei for wi, ei in zip(w, e)) for e in self._coeffs)
 
     def weighted_leading_form(self, weights: Sequence[int]) -> "Poly":

@@ -235,6 +235,7 @@ class TestErrorsAndReproducibility:
         ("x, y+, z", 5),
         ("x,  y*y, 2z", 11),
         ("x^2 + 1, (y, z", 11),  # end of the second part, at its "y"
+        ("2y, y, z", 2),  # in the first part, which starts the argument
     ])
     def test_compose_error_position_is_within_the_argument(self, capsys, outer, position):
         # the position of the offending character in the whole argument

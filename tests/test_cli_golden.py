@@ -2,9 +2,10 @@
 
 Every call below runs in-process twice, as text and with ``--json``.
 ``cli_golden.json`` holds, for each run, the exit code and the sha256 of
-stdout and of stderr, recorded while ``build_nagata``, ``jacobian_report``,
-``inverse_nagata`` and the tame factorization each still wrote out the map
-formula.  A refactor that keeps behaviour keeps every hash.
+stdout and of stderr.  The hashes pin every byte of the text and JSON
+output, including error messages and their positions, so that a refactor
+or an optimisation can show it kept behaviour by keeping every hash; a
+change that means to alter the output must say so and re-record them.
 """
 
 import hashlib

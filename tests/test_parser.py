@@ -105,6 +105,12 @@ class TestErrors:
             parse_poly3("(" * 101 + "x" + ")" * 101)
         assert info.value.position == 101
 
+    def test_closed_group_gives_back_only_its_own_level(self):
+        # the cap counts the groups still open, whatever closed before them
+        with pytest.raises(ParseError, match="nested deeper than 100") as info:
+            parse_poly3("(x) + " + "(" * 101 + "x" + ")" * 101)
+        assert info.value.position == 107
+
     def test_numeral_at_the_digit_cap_parses(self):
         assert parse_poly3("1" * 1000 + "*x") == int("1" * 1000) * X
         assert parse_poly2("t1 + 1/" + "9" * 1000) == T1 + Fraction(1, int("9" * 1000))

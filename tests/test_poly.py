@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nagata import (
-    NEG_INFINITY,
     Poly,
     RING2,
     RING3,
@@ -144,12 +143,14 @@ class TestSubstituteEvaluate:
 class TestDegreesAndForms:
     def test_weighted_degree_examples(self):
         assert EXWW.weighted_degree((2, 1)) == 4
-        assert Poly.zero(RING2).weighted_degree((2, 1)) is NEG_INFINITY
         assert PHI.weighted_degree((1, 1, 1)) == 2
 
-    def test_neg_infinity_fails_loudly_in_comparisons(self):
-        with pytest.raises(TypeError):
-            NEG_INFINITY < 3  # noqa: B015 - the comparison itself is the test
+    def test_zero_has_no_degree(self):
+        # the same rule as weighted_leading_form: 0 is refused, not given a sentinel
+        with pytest.raises(ValueError, match="zero polynomial has no degree"):
+            Poly.zero(RING2).total_degree()
+        with pytest.raises(ValueError, match="zero polynomial has no degree"):
+            Poly.zero(RING2).weighted_degree((2, 1))
 
     def test_bad_weight_vectors_rejected(self):
         with pytest.raises(ValueError):

@@ -5,15 +5,21 @@ the test is skipped when it is not installed.  Seeded small random
 polynomials in RING3 and RING2 go through ``+``, ``-``, ``*``, ``**``,
 ``substitute`` and ``expand_bivariate`` here and through
 ``sympy.ring(..., QQ)`` arithmetic and ``compose`` there, and the
-results are compared coefficient by coefficient.
+results are compared coefficient by coefficient.  The Jacobian
+determinant of a general endomorphism is compared with sympy's
+``Matrix.jacobian(...).det()``.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from nagata import Poly, RING2, RING3, expand_bivariate
+from nagata import Poly, PolyEndo, RING2, RING3, X, Y, Z, expand_bivariate, jacobian
+from nagata.maps import _determinant
+from _strategies import poly3s
 
 sympy = pytest.importorskip("sympy")
 
@@ -105,3 +111,28 @@ def test_expand_bivariate_matches_sympy_compose():
         expected = emb.lift(p, "source").compose(
             [(emb.gens[0], x * z + y ** 2), (emb.gens[1], z)])
         assert coefficients(expand_bivariate(p)) == emb.coefficients(expected, "target"), p
+
+
+def _expr(p: Poly):
+    """p as a sympy expression in the symbols x, y, z."""
+    gens = sympy.symbols(RING3)
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(g ** e for g, e in zip(gens, exp)))
+                       for exp, c in p.terms()))
+
+
+def _sympy_determinant(e: PolyEndo) -> dict:
+    gens = sympy.symbols(RING3)
+    det = sympy.Matrix([_expr(c) for c in e]).jacobian(gens).det()
+    return {exp: Fraction(int(c.p), int(c.q))
+            for exp, c in sympy.Poly(det, *gens, domain=sympy.QQ).as_dict().items()
+            if c}
+
+
+# For a map of the family h = z, so the minor that multiplies m[0][2] in
+# the cofactor expansion vanishes; here h != z, and that term is -2*y*z.
+@example((X + Z ** 2, Y, Z + X * Y))
+@given(st.tuples(poly3s, poly3s, poly3s))
+def test_jacobian_determinant_matches_sympy(components):
+    e = PolyEndo(*components)
+    assert coefficients(_determinant(jacobian(e))) == _sympy_determinant(e), e

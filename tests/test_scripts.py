@@ -1,5 +1,8 @@
 """Smoke tests: the scripts run end to end against the library API."""
 
+import dataclasses
+import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -14,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["worked_examples.py"],
     ["random_survey.py", "--count", "20", "--dvmax", "6"],
     ["profile_by_file.py", "--workload", "oracle_sweep", "--seed", "41", "--passes", "1"],
+    ["mutation_sample.py", "--count", "0", "lojasiewicz"],
 ])
 def test_script_exits_zero(argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -22,6 +26,8 @@ def test_script_exits_zero(argv):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    if argv[0] == "mutation_sample.py":
+        assert result.stdout.startswith("killed 0 of 0 sampled from ")
     if argv[0] == "random_survey.py":
         timing = result.stdout.split("cpu time per map, ms (process_time):\n")[1]
         rows = [line.split() for line in timing.splitlines()[1:]]
@@ -41,3 +47,28 @@ def test_script_exits_zero(argv):
         assert all(int(row[2]) >= 1 for row in rows)
         # file:line(function), or a built-in's own name
         assert all(row[3].endswith(")") or row[3].endswith(">") for row in rows)
+
+
+def _tree_digest(path: Path) -> str:
+    digest = hashlib.sha256()
+    for f in sorted(path.rglob("*.py")):
+        digest.update(str(f.relative_to(path)).encode() + b"\0" + f.read_bytes())
+    return digest.hexdigest()
+
+
+def test_mutation_sample_kills_a_fixed_mutant_outside_src():
+    spec = importlib.util.spec_from_file_location(
+        "mutation_sample", ROOT / "scripts" / "mutation_sample.py")
+    sample = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sample)
+    path = Path("src", "nagata", "lojasiewicz.py")
+    lines = (ROOT / path).read_text().splitlines()
+    # the inverse-degree self-check, 2*deg(phi) + 1 -> 2*deg(phi) - 1
+    mutant, = [m for m in sample.sites(path) if m.operator == "+ -> -"
+               and "2 * phi.total_degree() + 1" in lines[m.line - 1]]
+    # the same site written back unchanged must survive, so the kill is the mutation's
+    unchanged = dataclasses.replace(mutant, text="+")
+    before = _tree_digest(ROOT / "src")
+    results = list(sample.run([mutant, unchanged], ["tests/test_lojasiewicz.py"]))
+    assert results == [(mutant, True), (unchanged, False)]
+    assert _tree_digest(ROOT / "src") == before
