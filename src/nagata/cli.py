@@ -79,7 +79,7 @@ def _evidence_payload(c: Classification, residual: str,
     return evidence
 
 
-def _analysis_payload(phi: Poly) -> tuple[dict, list[str], int]:
+def _analysis_payload(phi: Poly) -> tuple[int, dict, list[str]]:
     """Shared full report for ``analyze`` and ``random``; the text lines
     reuse the payload's strings."""
     verdict = classify(phi)
@@ -118,13 +118,11 @@ def _analysis_payload(phi: Poly) -> tuple[dict, list[str], int]:
         lines.append(f"lojasiewicz exponent: {payload['lojasiewicz_exponent']}")
     else:
         lines.append(f"classification: {verdict.verdict.value}")
-    return payload, lines, 0 if is_auto else 1
+    return (0 if is_auto else 1), payload, lines
 
 
 def _cmd_analyze(args) -> tuple[int, dict, list[str]]:
-    phi = parse_poly3(args.phi)
-    payload, lines, code = _analysis_payload(phi)
-    return code, payload, lines
+    return _analysis_payload(parse_poly3(args.phi))
 
 
 def _cmd_invert(args) -> tuple[int, dict, list[str]]:
@@ -252,7 +250,7 @@ def _cmd_random(args) -> tuple[int, dict, list[str]]:
     rng = random.Random(args.seed)
     p = random_poly2(rng, args.dvmax)
     phi = expand_bivariate(p)
-    analysis, lines, _ = _analysis_payload(phi)
+    _, analysis, lines = _analysis_payload(phi)
     payload = {
         "seed": args.seed,
         "dvmax": args.dvmax,

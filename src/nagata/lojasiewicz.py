@@ -3,7 +3,7 @@
 For a polynomial automorphism F the exponent equals 1/deg(F^-1).  Here
 the inverse is explicit, so the exponent is computed from the measured
 degree of the constructed inverse and then cross-checked against the
-closed form 2*deg(phi) + 1 (1 for constant phi).
+closed form 2*deg(phi) + 1, with deg(0) taken as 0.
 """
 
 from __future__ import annotations
@@ -47,10 +47,9 @@ def _loj_report(phi: Poly, inverse: PolyEndo) -> LojReport:
     """The report for phi = p(x*z + y^2, z) and the inverse of its map,
     both already built by the caller."""
     inverse_degree = max(component.total_degree() for component in inverse)
-    expected = 1 if phi.is_constant() else 2 * phi.total_degree() + 1
-    if inverse_degree != expected:
-        raise RuntimeError("inverse degree formula violated; arithmetic bug")
     phi_degree = 0 if phi.is_zero() else phi.total_degree()
+    if inverse_degree != 2 * phi_degree + 1:
+        raise RuntimeError("inverse degree formula violated; arithmetic bug")
     return LojReport(
         phi_degree=phi_degree,
         inverse_degree=inverse_degree,

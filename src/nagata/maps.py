@@ -199,8 +199,7 @@ def milnor_certificate(phi: Poly) -> MilnorCertificate:
     zero = Poly.zero(RING3)
     x_comb = (one, 2 * phi, -phi ** 2)
     y_comb = (zero, one, -phi)
-    if x_comb[0] * f + x_comb[1] * g + x_comb[2] * h != X:
-        raise RuntimeError("certificate for x failed verification; arithmetic bug")
-    if y_comb[0] * f + y_comb[1] * g + y_comb[2] * h != Y:
-        raise RuntimeError("certificate for y failed verification; arithmetic bug")
+    for (a, b, c), target in ((x_comb, X), (y_comb, Y)):
+        if a * f + b * g + c * h != target:
+            raise RuntimeError(f"certificate for {target} failed verification; arithmetic bug")
     return MilnorCertificate(x_combination=x_comb, y_combination=y_comb)

@@ -240,12 +240,9 @@ class _Parser:
         return Poly._raw(self.names, *_common_den(value))
 
     def expr(self) -> _Terms:
-        value = self.term()
-        if self.peek().kind not in ("+", "-"):
-            return value
         # the signed terms go into one dict, so a sum costs time linear
         # in its length rather than a copy of the sum so far per "+"
-        acc = dict(value)
+        acc = self.term()
         while self.peek().kind in ("+", "-"):
             minus = self.advance().kind == "-"
             for e, c in self.term().items():

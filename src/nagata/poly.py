@@ -157,10 +157,8 @@ class Poly:
 
     def _scalars(self) -> dict[Exponent, Scalar]:
         """Exponent -> coefficient, an int if it is integral and a Fraction
-        otherwise; the caller must not change it."""
+        otherwise."""
         den = self._den
-        if den == 1:
-            return self._coeffs
         return {e: Fraction(c, den) if c % den else c // den for e, c in self._coeffs.items()}
 
     def terms(self) -> Iterator[tuple[Exponent, Scalar]]:
@@ -234,17 +232,13 @@ class Poly:
         out: dict[Exponent, int] = {}
         get = out.get
         terms_a, terms_b = self._coeffs.items(), q._coeffs.items()
-        # the exponent addition is the hottest loop in the package, so the
-        # two fixed arities are unrolled
+        # the exponent addition is the hottest loop in the package, so it is
+        # unrolled for x, y, z, the ring of the maps; products in t1, t2 are
+        # rare and take the generic loop
         if len(self.vars) == 3:
             for (a0, a1, a2), ca in terms_a:
                 for (b0, b1, b2), cb in terms_b:
                     e = (a0 + b0, a1 + b1, a2 + b2)
-                    out[e] = get(e, 0) + ca * cb
-        elif len(self.vars) == 2:
-            for (a0, a1), ca in terms_a:
-                for (b0, b1), cb in terms_b:
-                    e = (a0 + b0, a1 + b1)
                     out[e] = get(e, 0) + ca * cb
         else:
             for ea, ca in terms_a:
@@ -262,10 +256,6 @@ class Poly:
             raise ValueError("polynomial exponent must be nonnegative")
         if n == 0:
             return Poly.constant(self.vars, 1)
-        if len(self._coeffs) == 1:
-            (exp, coeff), = self._coeffs.items()
-            return Poly._raw(self.vars, {tuple(n * e for e in exp): coeff ** n},
-                             self._den ** n)
         result = None
         base = self
         while True:

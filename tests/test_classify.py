@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 
 from nagata import (
     Poly,
+    PolyEndo,
     RING3,
     T1,
     T2,
@@ -25,6 +27,8 @@ from _strategies import nonzero_poly2s, poly2s
 
 PHI = X * Z + Y ** 2
 EXWW = T1 ** 2 - T2 ** 3 + T1 * T2 ** 2
+# the module; the package attribute nagata.classify is the function
+CLASSIFY = importlib.import_module("nagata.classify")
 
 
 class TestClassify:
@@ -124,3 +128,17 @@ class TestLeadingMinors:
                 continue
             assert leading_minors(phi) == leading_minor_closed_forms(phi)
             checked += 1
+
+
+class TestSelfChecks:
+    """Each self-check of classify raises on one injected wrong value."""
+
+    def test_wrong_tame_factors_raise(self, monkeypatch):
+        monkeypatch.setattr(CLASSIFY, "compose", lambda outer, inner: PolyEndo.identity())
+        with pytest.raises(RuntimeError, match="tame factorization.*arithmetic bug"):
+            classify(Z)
+
+    def test_zero_residual_without_representative_raises(self, monkeypatch):
+        monkeypatch.setattr(CLASSIFY, "decompose", lambda phi: None)
+        with pytest.raises(RuntimeError, match="no bivariate representative.*arithmetic bug"):
+            classify(PHI)

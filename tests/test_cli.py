@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -314,6 +315,14 @@ class TestInternalError:
 
         monkeypatch.setattr(cli, "_cmd_analyze", refuse)
         assert invoke(capsys, "analyze", "x") == (2, "", "error: bad input\n")
+
+    def test_failed_self_check_exits_three(self, capsys, monkeypatch):
+        # the tame factors of phi = z no longer compose to its map
+        monkeypatch.setattr(importlib.import_module("nagata.classify"), "compose",
+                            lambda outer, inner: PolyEndo.identity())
+        assert invoke(capsys, "analyze", "z") == (
+            3, "", "internal error: RuntimeError: tame factorization failed verification; "
+            "arithmetic bug\n")
 
 
 class TestClosedStdout:

@@ -4,15 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import nagata.lojasiewicz
 from nagata import (
     Poly,
+    PolyEndo,
     RING2,
     T1,
     T2,
+    X,
+    Y,
+    Z,
     deformation_compare,
     loj_exponent,
     random_poly2,
 )
+from nagata.lojasiewicz import LojReport, _loj_report
 from _strategies import nonzero_poly2s
 
 EXWW = T1 ** 2 - T2 ** 3 + T1 * T2 ** 2
@@ -81,3 +87,19 @@ class TestDeformation:
             p_s = p + Poly(RING2, extra)
             report = deformation_compare(p, p_s)
             assert report.monotone
+
+
+class TestSelfChecks:
+    """Each self-check raises on one injected wrong value."""
+
+    def test_wrong_inverse_degree_raises(self):
+        # the identity has degree 1; the inverse for phi of degree 2 has 5
+        with pytest.raises(RuntimeError, match="inverse degree.*arithmetic bug"):
+            _loj_report(X * Z + Y ** 2, PolyEndo.identity())
+
+    def test_non_monotone_exponents_raise(self, monkeypatch):
+        # the deformation gets the larger exponent
+        reports = {T1: LojReport(2, 5, Fraction(1, 5)), T1 + T2: LojReport(0, 1, Fraction(1))}
+        monkeypatch.setattr(nagata.lojasiewicz, "loj_exponent", reports.__getitem__)
+        with pytest.raises(RuntimeError, match="monotonicity violated; arithmetic bug"):
+            deformation_compare(T1, T1 + T2)

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+import nagata.maps
 from nagata import (
     Poly,
     PolyEndo,
@@ -319,3 +321,32 @@ def test_random_phi_certificates_batch():
 
     for _ in range(20):
         milnor_certificate(random_poly3(rng, 3))  # verifies internally
+
+
+class TestMilnorSelfCheck:
+    """Each identity of the certificate is checked: a map that breaks one
+    raises, naming the coordinate whose identity failed."""
+
+    @pytest.mark.parametrize("name, spoil", [
+        # f + 1 breaks the x identity
+        ("x", lambda phi, f, g: (f + 1, g)),
+        # g + d with f - 2*phi*d keeps the x identity and breaks the y one
+        ("y", lambda phi, f, g: (f - 2 * phi * Z, g + Z)),
+    ])
+    def test_wrong_map_raises(self, monkeypatch, name, spoil):
+        build = nagata.maps.build_nagata
+
+        def wrong(phi):
+            nagata_map = build(phi)
+            f, g = spoil(phi, nagata_map.endo.f, nagata_map.endo.g)
+            return dataclasses.replace(nagata_map, endo=PolyEndo(f, g, Z))
+
+        monkeypatch.setattr(nagata.maps, "build_nagata", wrong)
+        with pytest.raises(RuntimeError,
+                           match=f"certificate for {name} failed verification; arithmetic bug"):
+            milnor_certificate(PHI)
+
+
+def test_components_outside_the_ring_are_refused():
+    with pytest.raises(ValueError, match="components must live in Q\\[x,y,z\\]"):
+        PolyEndo(T1, Y, Z)

@@ -84,6 +84,11 @@ class TestErrors:
             parse_poly3("x$y")
         assert info.value.position == 2
 
+    def test_denominator_must_be_a_number(self):
+        with pytest.raises(ParseError) as info:
+            parse_poly3("1/x")
+        assert str(info.value) == "syntax error: unexpected 'x' at position 3 (expected number)"
+
     def test_zero_denominator(self):
         with pytest.raises(ParseError, match="zero denominator"):
             parse_poly3("1/0")
@@ -169,6 +174,7 @@ OVER_THE_SIZE_LIMIT = [
     ("(x+1)^512", 6),
     ("(1/2*x + 1/3)^296", 14),
     ("(x+y+z+2^200)^16", 14),
+    ("(1+x+x^2)^256", 10),
 ]
 OVER_THE_DEGREE_LIMIT = [
     ("(x^" + "9" * 999 + ")^" + "9" * 999, 1004),
@@ -236,6 +242,9 @@ class TestSizeLimits:
         assert parse_poly3("2^4096*x") == 2 ** 4096 * X
         assert len(list(parse_poly3("(x+y+z+1)^16").terms())) == 969
         assert len(list(parse_poly3("(x+1)^511").terms())) == 512
+        # the box of per-variable degrees is the smallest of the three term
+        # estimates here, and exact: 2*255 + 1 terms
+        assert len(list(parse_poly3("(1+x+x^2)^255").terms())) == 511
         assert len(list(parse_poly3("(x+1)^40*(x+1)^40").terms())) == 81
         assert parse_poly3("(x+y+z)^8*(x+y+z)^0") == (X + Y + Z) ** 8
 

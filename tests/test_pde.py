@@ -24,6 +24,7 @@ from nagata import (
     verify_basis_against_oracle,
 )
 from nagata.cli import run
+from nagata.pde import _echelon, _kernel_vector
 from _strategies import poly3s
 
 PHI = X * Z + Y ** 2
@@ -228,3 +229,31 @@ class TestSpanEquality:
             PHI,
             Z ** 2,
         ]
+
+
+class TestKernelVector:
+    """The residual map never needs these branches of _kernel_vector, but
+    the elimination knows nothing of that structure; two fixed matrices
+    run them and are checked by hand and against sympy."""
+
+    @pytest.mark.parametrize("matrix, free_col, expected", [
+        # the pivot 2 does not divide s = 1, so v is rescaled; then the
+        # leading entry -1 flips the sign
+        ([[2, 1]], 1, {0: 1, 1: -2}),
+        # the pivot row of column 1 misses v, so it is skipped and adds no
+        # entry; then the sign flips
+        ([[1, 0, 1], [0, 1, 0]], 2, {0: 1, 2: -1}),
+    ])
+    def test_generic_branches(self, matrix, free_col, expected):
+        rows = [{c: x for c, x in enumerate(row) if x} for row in matrix]
+        vector = _kernel_vector(free_col, _echelon(rows))
+        assert vector == expected
+        sympy = pytest.importorskip("sympy")
+        null, = sympy.Matrix(matrix).nullspace()
+        dense = sympy.Matrix([vector.get(c, 0) for c in range(len(matrix[0]))])
+        assert null.rank() == sympy.Matrix.hstack(null, dense).rank() == 1
+
+
+def test_invariant_monomials_refuse_a_negative_degree():
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        invariant_monomials(-1)

@@ -48,7 +48,7 @@ class TestArithmetic:
 
     def test_pow_matches_repeated_multiplication(self):
         assert PHI ** 3 == PHI * PHI * PHI
-        # a one-term power scales the exponent instead of multiplying
+        # a one-term power with a denominator
         assert MONOMIAL ** 5 == MONOMIAL * MONOMIAL * MONOMIAL * MONOMIAL * MONOMIAL
         assert str(MONOMIAL ** 5) == "-243/32*x^5*y^10"
 
@@ -63,6 +63,26 @@ class TestArithmetic:
     def test_mixed_rings_rejected(self):
         with pytest.raises(ValueError, match="mixed polynomial rings"):
             X + T1
+
+    def test_bad_exponent_rejected(self):
+        with pytest.raises(ValueError, match="bad exponent"):
+            Poly(RING3, {(1, 0): 1})
+
+    @pytest.mark.parametrize("operation", [
+        lambda: X + "a",
+        lambda: X - "a",
+        lambda: X * "a",
+    ])
+    def test_non_numeric_operand_rejected(self, operation):
+        with pytest.raises(TypeError):
+            operation()
+
+    def test_non_numeric_value_is_unequal(self):
+        assert (X == "a") is False
+
+    def test_non_integer_power_rejected(self):
+        with pytest.raises(TypeError, match="polynomial exponent must be an integer"):
+            X ** 1.5
 
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
@@ -121,6 +141,15 @@ class TestSubstituteEvaluate:
                 X + 2 * Y * phi - Z * phi ** 2, Y - Z * phi, Z
             )
             assert image == PHI
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: X.substitute(X, Y), "substitute needs 3 values, got 2"),
+        (lambda: X.substitute(X, Y, T1), "must share one polynomial ring"),
+        (lambda: X.evaluate(1, 2), "evaluate needs 3 coordinates"),
+    ])
+    def test_wrong_arguments_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_evaluate_examples(self):
         assert PHI.evaluate(0, 0, 1) == 0

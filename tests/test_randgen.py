@@ -43,3 +43,12 @@ def test_calls_on_one_rng_are_pinned():
     rng = random.Random(0)
     assert [str(random_poly2(rng, 1)) for _ in range(2)] == ["5", "t2 + 8"]
     assert rng.random() == 0.9677999949201714
+
+
+@pytest.mark.parametrize("generate, message", [
+    (random_poly2, "dvmax must be nonnegative"),
+    (random_poly3, "max_degree must be nonnegative"),
+])
+def test_negative_bound_is_refused(generate, message):
+    with pytest.raises(ValueError, match=message):
+        generate(random.Random(0), -1)

@@ -1,5 +1,6 @@
 """Smoke tests: the scripts run end to end against the library API."""
 
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -18,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["random_survey.py", "--count", "20", "--dvmax", "6"],
     ["profile_by_file.py", "--workload", "oracle_sweep", "--seed", "41", "--passes", "1"],
     ["mutation_sample.py", "--count", "0", "lojasiewicz"],
+    ["workload_reach.py", "--workload", "oracle_sweep", "--seed", "41"],
 ])
 def test_script_exits_zero(argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -47,6 +49,27 @@ def test_script_exits_zero(argv):
         assert all(int(row[2]) >= 1 for row in rows)
         # file:line(function), or a built-in's own name
         assert all(row[3].endswith(")") or row[3].endswith(">") for row in rows)
+    if argv[0] == "workload_reach.py":
+        _check_reach(result.stdout)
+
+
+def _check_reach(stdout: str) -> None:
+    """The oracle parses no text, so parse.py statements are listed, and
+    every statement in the body of kernel_oracle runs."""
+    header, *rows = stdout.splitlines()
+    assert header.startswith("statements no timed op runs: oracle_sweep, seed 41: ")
+    listed: dict[str, list[int]] = {}
+    for row in rows:
+        if row.startswith("src/"):
+            current = listed.setdefault(row, [])
+        else:
+            current.append(int(row.split()[0]))
+    assert listed["src/nagata/parse.py"]
+    pde = ast.parse((ROOT / "src" / "nagata" / "pde.py").read_text())
+    oracle, = [node for node in pde.body
+               if isinstance(node, ast.FunctionDef) and node.name == "kernel_oracle"]
+    body = range(oracle.body[1].lineno, oracle.end_lineno + 1)
+    assert not [line for line in listed["src/nagata/pde.py"] if line in body]
 
 
 def _tree_digest(path: Path) -> str:
@@ -65,7 +88,7 @@ def test_mutation_sample_kills_a_fixed_mutant_outside_src():
     lines = (ROOT / path).read_text().splitlines()
     # the inverse-degree self-check, 2*deg(phi) + 1 -> 2*deg(phi) - 1
     mutant, = [m for m in sample.sites(path) if m.operator == "+ -> -"
-               and "2 * phi.total_degree() + 1" in lines[m.line - 1]]
+               and "2 * phi_degree + 1" in lines[m.line - 1]]
     # the same site written back unchanged must survive, so the kill is the mutation's
     unchanged = dataclasses.replace(mutant, text="+")
     before = _tree_digest(ROOT / "src")
