@@ -23,13 +23,23 @@ Positions in error messages are 1-based character offsets; end-of-input
 is reported at the last character of the text.  The canonical printed
 form of a polynomial is ``str(poly)``, which always re-parses.
 
-The text is split into tokens by one regular expression.  The parser's
+Text in the canonical printed form, signed terms such as
+``3/2*x*y^2 - z`` joined by " + " and " - ", is read in one pass: one
+regular expression admits the whole text, a second picks out its terms,
+and they are summed into one exponent -> coefficient dict.  This changes
+which code reads a text, not the grammar.  Only text on which no check
+of the parser can fire is admitted: numerals of at most 1000 digits, so
+that a coefficient times a monomial has at most 3322 bits, below the
+2^4096 limit; exponents of at most 9 digits, so that no text that fits
+in memory reaches the degree limit; and no parenthesis, power of a
+numeral or second coefficient.  A zero denominator or a name outside the
+ring declines the text as well.  Every other text is split into tokens
+by one regular expression and parsed by recursive descent.  As no
+admitted text fails a check, every ParseError, with its position and
+expected set, comes from the recursive descent.  The parser's
 values are plain exponent -> coefficient dicts, and only the result of
-``parse`` becomes a ``Poly``.  A product of two monomials adds their
-exponents, and a power of a monomial scales its exponent, each after the
-degree and coefficient estimate; so a canonical text such as
-``3/2*x*y^2 - z`` runs no ``Poly`` arithmetic at all.  Only a "*" or "^"
-with an operand of more than one term multiplies ``Poly`` values.
+``parse`` becomes a ``Poly``; each "*" and "^" estimates its result and
+then multiplies ``Poly`` values.
 """
 
 from __future__ import annotations
@@ -37,7 +47,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add
 from typing import NamedTuple
 
 from .poly import Exponent, Poly, RING2, RING3, Scalar, _common_den
@@ -81,6 +90,19 @@ _MAX_DIGITS = 1000
 # a match that takes no token stops at the end or at a character that
 # starts none.
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([^\W_]+)|([-+*^()/]))?")
+
+# Canonical text in the names of either ring (read_canonical checks the
+# ring), with numerals capped at _MAX_DIGITS digits and exponents at 9 so
+# that no check of the parser can fire on it; see the module docstring.
+# These two patterns are compiled by re's cache on the first parse, so a
+# command that parses nothing does not pay the 0.5-0.7 ms.
+_NUMERAL = rf"[0-9]{{1,{_MAX_DIGITS}}}"
+_FACTOR = r"(?:[xyz]|t[12])(?:\^[0-9]{1,9})?"
+_TERM = rf"(?:{_NUMERAL}(?:/{_NUMERAL})?|{_FACTOR})(?:\*{_FACTOR})*"
+_CANONICAL = rf"\s*-?{_TERM}(?:\s*[-+]\s*{_TERM})*\s*"
+# sign, numerator, denominator and monomial ("x^2*y") of each term of a
+# canonical text; the lookahead keeps trailing whitespace from matching
+_SIGNED_TERM = r"\s*([-+]?)\s*(?=[0-9xyzt])([0-9]*)(?:/([0-9]+))?\*?([^\s+-]*)"
 
 
 def _tokenize(text: str, offset: int) -> list[_Token]:
@@ -213,12 +235,13 @@ class _Parser:
     wraps the last one in a Poly."""
 
     def __init__(self, text: str, names: tuple[str, ...], offset: int = 0):
-        self.tokens = _tokenize(text, offset)
+        self.text = text
+        self.offset = offset
         self.pos = 0
         self.names = names
         self.nesting = 0
         self.zero = (0,) * len(names)
-        self.units = {v: tuple(int(v == w) for w in names) for v in names}
+        self.index = {v: i for i, v in enumerate(names)}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -234,10 +257,44 @@ class _Parser:
         return ParseError(f"syntax error: unexpected {found}", tok.position, expected)
 
     def parse(self) -> Poly:
-        value = self.expr()
-        if self.peek().kind != "end":
-            raise self.fail(frozenset({"'+'", "'-'", "'*'", "end of input"}))
+        value = self.read_canonical()
+        if value is None:
+            self.tokens = _tokenize(self.text, self.offset)
+            value = self.expr()
+            if self.peek().kind != "end":
+                raise self.fail(frozenset({"'+'", "'-'", "'*'", "end of input"}))
         return Poly._raw(self.names, *_common_den(value))
+
+    def read_canonical(self) -> _Terms | None:
+        """The value of text in canonical form, or None for any other text
+        and for one with a zero denominator or a name outside the ring,
+        which the tokens then refuse.  Terms are summed in text order, zero
+        ones skipped and cancelled ones dropped, as in expr."""
+        if not re.fullmatch(_CANONICAL, self.text):
+            return None
+        acc: _Terms = {}
+        for sign, num, den, monomial in re.findall(_SIGNED_TERM, self.text):
+            c = int(num) if num else 1
+            if den:
+                if not int(den):
+                    return None
+                c = Fraction(c, int(den))
+            if not c:
+                continue
+            if sign == "-":
+                c = -c
+            e = self.zero
+            if monomial:
+                exponent = [0] * len(e)
+                for factor in monomial.split("*"):
+                    name, _, k = factor.partition("^")
+                    i = self.index.get(name)
+                    if i is None:
+                        return None
+                    exponent[i] += int(k) if k else 1
+                e = tuple(exponent)
+            acc[e] = acc[e] + c if e in acc else c
+        return {e: c for e, c in acc.items() if c}
 
     def expr(self) -> _Terms:
         # the signed terms go into one dict, so a sum costs time linear
@@ -259,14 +316,6 @@ class _Parser:
             rhs = self.factor()
             if not value or not rhs:
                 value = {}
-            elif len(value) == 1 and len(rhs) == 1:
-                # the estimate of _check_product for two one-term factors
-                (ea, ca), = value.items()
-                (eb, cb), = rhs.items()
-                _check_degree(tok, sum(ea) + sum(eb))
-                _check_bits(tok, (max(abs(ca.numerator * cb.numerator),
-                                      ca.denominator * cb.denominator) - 1).bit_length())
-                value = {tuple(map(add, ea, eb)): ca * cb}
             else:
                 a = Poly._raw(self.names, *_common_den(value))
                 b = Poly._raw(self.names, *_common_den(rhs))
@@ -289,12 +338,6 @@ class _Parser:
             n = int(self.advance().text)
             if n == 0:
                 value = {self.zero: 1}  # 0^0 is 1 too
-            elif len(value) == 1:
-                # the estimate of _check_power for a one-term base
-                (e, c), = value.items()
-                _check_degree(tok, n * sum(e))
-                _check_bits(tok, n * (max(abs(c.numerator), c.denominator) - 1).bit_length())
-                value = {tuple(n * i for i in e): c ** n}
             elif value:
                 base = Poly._raw(self.names, *_common_den(value))
                 _check_power(tok, base, n)
@@ -320,10 +363,10 @@ class _Parser:
             return {self.zero: value} if value else {}
         if tok.kind == "ident":
             self.advance()
-            unit = self.units.get(tok.text)
-            if unit is None:
+            i = self.index.get(tok.text)
+            if i is None:
                 raise UnknownIdentifierError(tok.text, tok.position, self.names)
-            return {unit: 1}
+            return {self.zero[:i] + (1,) + self.zero[i + 1:]: 1}
         if tok.kind == "(":
             if self.nesting == _MAX_NESTING:
                 raise ParseError(

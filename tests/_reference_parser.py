@@ -7,8 +7,9 @@ stores its coefficients.
 
 Every value here is a ``Poly``, and every "*" and "^" runs the size
 estimate of ``nagata.parse`` and then ``Poly`` arithmetic.  The package's
-parser multiplies and raises monomials on their exponents instead; both
-must give the same polynomial or the same ``ParseError``.
+parser keeps exponent dicts as its values and reads canonical text in
+one pass without tokens; both must give the same polynomial or the same
+``ParseError``.
 """
 
 from dataclasses import dataclass

@@ -1,6 +1,7 @@
 import time
 from datetime import timedelta
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from nagata import (
     parse_poly2,
     parse_poly3,
 )
+from nagata import parse
 from nagata.parse import _Parser
 from _strategies import poly2s, poly3s
 
@@ -169,6 +171,7 @@ OVER_THE_TERM_LIMIT = [
     ("((x+1)^10 + (y+1)^10 + (z+1)^10)^3", 33),
     ("(x+1)^40*(y+1)^40", 9),
     ("(x+y+z)^9*(x+y+z)^9", 10),
+    ("(x^5 + y^7 + z^3 + 1)^17", 22),
 ]
 OVER_THE_SIZE_LIMIT = [
     ("(x+1)^512", 6),
@@ -186,6 +189,7 @@ HUGE = "9" * 1000
 WITHIN_THE_LIMITS = [
     "2^4096", "(1/3)^2048", "2^4096*x", "(x+y+z+1)^16", "(x+1)^511",
     "(x+1)^40*(x+1)^40", "(x+y+z)^8*(x+y+z)^0", "(t1+t2+1)^43", "(t1+t2+1)^44",
+    "(x^5 + y^7 + z^3 + 1)^16",
     f"x^{HUGE}", f"(-y)^{HUGE}", f"(z^{HUGE[1:]})^10", f"(x - x)^{HUGE}",
     f"0^{HUGE}*(x+1)", "1" * 1000 + "*x", "t1 + 1/" + "9" * 1000,
 ]
@@ -245,6 +249,9 @@ class TestSizeLimits:
         # the box of per-variable degrees is the smallest of the three term
         # estimates here, and exact: 2*255 + 1 terms
         assert len(list(parse_poly3("(1+x+x^2)^255").terms())) == 511
+        # and here the multisets of 16 base terms, C(19, 3) of them, each a
+        # distinct monomial
+        assert len(list(parse_poly3("(x^5 + y^7 + z^3 + 1)^16").terms())) == 969
         assert len(list(parse_poly3("(x+1)^40*(x+1)^40").terms())) == 81
         assert parse_poly3("(x+y+z)^8*(x+y+z)^0") == (X + Y + Z) ** 8
 
@@ -395,3 +402,68 @@ def test_canonical_text_parses_without_poly_arithmetic(monkeypatch):
     assert parse_poly3(text) == p
     # each monomial is built on its exponents, not by Poly products
     assert calls == []
+
+
+# (id, text, the rings in which the one-pass reader takes it): texts at the
+# edges of its admission pattern.  Each must give the outcome of the
+# reference parser; a widened or a narrowed cap changes which texts the
+# reader takes, and a removed cap lets it take a text that must be refused.
+READER_EDGES = [
+    ("numeral-at-cap", HUGE + "*x", [RING3]),
+    ("numeral-past-cap", HUGE + "9*x", []),
+    ("denominator-at-cap", "t1 - 1/" + HUGE, [RING2]),
+    ("zero-denominator", "1/0*x", []),
+    ("zero-denominator-00", "y - 3/00*t2", []),
+    ("unit-denominator", "3/1*x", [RING3]),
+    ("exponent-at-cap", "x^999999999*y", [RING3]),
+    ("exponent-past-cap", "x^1234567890*y", []),
+    ("degree-limit", f"x^{HUGE}*x", []),
+    ("numeral-power", "2^4096*x", []),
+    ("space-between-factors", "x y", []),
+    ("juxtaposed-names", "xy", []),
+    ("leading-plus", "+x", []),
+    ("spaced-leading-minus", "- x", []),
+    ("double-minus", "x - -y", []),
+    ("ideographic-space", "x\u3000+\u3000y", [RING3]),
+    ("outer-whitespace", " \t-z + x^2  ", [RING3]),
+    ("superscript-two", "x\u00b2", []),
+    ("arabic-indic-exponent", "x^\u0663", []),
+    ("arabic-indic-numeral", "\u0663*x", []),
+    ("bivariate-in-trivariate", "t1", [RING2]),
+    ("mixed-rings", "t1 + x", []),
+    ("cancelling-and-zero", "x - x + 0*y + y^0*z - 0", [RING3]),
+    ("repeated-name", "3*z*x^2*z + 1/2", [RING3]),
+]
+
+
+class TestCanonicalReader:
+    """Text in canonical form is read in one pass; any other text goes to
+    the tokens, and the outcome is the reference parser's either way."""
+
+    @pytest.mark.parametrize("offset", [0, 17])
+    @pytest.mark.parametrize("names", [RING2, RING3], ids=["t1-t2", "x-y-z"])
+    @pytest.mark.parametrize("text, admitted", [case[1:] for case in READER_EDGES],
+                             ids=[case[0] for case in READER_EDGES])
+    def test_edge(self, text, admitted, names, offset):
+        with mock.patch.object(parse, "_tokenize", wraps=parse._tokenize) as tokenize:
+            assert (outcome(_Parser, text, names, offset)
+                    == outcome(_reference_parser._Parser, text, names, offset))
+        assert tokenize.called == (names not in admitted)
+
+    def test_terms_in_the_order_of_the_tokens(self):
+        # the same text in parentheses goes to the tokens; zero terms are
+        # skipped and cancelled ones dropped in the same order
+        text = "0*x + y - 3/2*z + x - y + 0/5*x^2 + x^2 - 2/4*z"
+        read, tokenized = parse_poly3(text), parse_poly3(f"({text})")
+        assert list(read._coeffs.items()) == list(tokenized._coeffs.items())
+        assert read._den == tokenized._den == 1
+
+    @given(poly3s)
+    def test_printed_trivariate_never_tokenizes(self, p):
+        with mock.patch.object(parse, "_tokenize", side_effect=AssertionError("tokenized")):
+            assert parse_poly3(str(p)) == p
+
+    @given(poly2s)
+    def test_printed_bivariate_never_tokenizes(self, p):
+        with mock.patch.object(parse, "_tokenize", side_effect=AssertionError("tokenized")):
+            assert parse_poly2(str(p)) == p
