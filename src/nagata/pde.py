@@ -7,11 +7,13 @@ Two independent routes to the degree-d solution space:
   every solution is a polynomial in x*z + y^2 and z.
 * ``kernel_oracle`` knows nothing about that structure: it assembles the
   exact linear map taking the coefficient vector of a generic homogeneous
-  degree-d polynomial to the coefficient vector of its residual, as
-  sparse columns, splits it into the connected components of its
-  sparsity pattern, and computes a kernel basis of each block by
-  fraction-free Gaussian elimination.  Cost and memory grow with the
-  block sizes, not with the square of the number of monomials.
+  degree-d polynomial to the coefficient vector of its residual, and
+  computes a kernel basis of it by fraction-free Gaussian elimination,
+  one block at a time.  The blocks come from the map, not from its
+  kernel: D = -2*y*d/dx + z*d/dy lowers the weight 2a + b of
+  x^a*y^b*z^c by exactly 1, so the columns of one weight share rows only
+  with each other.  Cost and memory grow with the block sizes, not with
+  the square of the number of monomials.
 
 ``verify_basis_against_oracle`` checks that the two spans agree.  Both
 routes refuse degrees above ``DEGREE_BOUND``, so that no degree runs
@@ -90,46 +92,6 @@ def degree_monomials(d: int) -> list[Exponent]:
     ]
 
 
-def _residual_columns(monomials: list[Exponent]) -> list[dict[int, int]]:
-    """Sparse integer matrix of the residual map, one column per monomial.
-
-    Column j maps row index to entry: x^a*y^b*z^c contributes -2a to
-    x^(a-1)*y^(b+1)*z^c and b to x^a*y^(b-1)*z^(c+1).
-    """
-    index = {m: i for i, m in enumerate(monomials)}
-    columns = []
-    for a, b, c in monomials:
-        column = {}
-        if a:
-            column[index[(a - 1, b + 1, c)]] = -2 * a
-        if b:
-            column[index[(a, b - 1, c + 1)]] = b
-        columns.append(column)
-    return columns
-
-
-def _blocks(columns: list[dict[int, int]]) -> list[list[int]]:
-    """Connected components of the sparsity pattern: two columns are in one
-    block when they share a row.  Each block lists its columns ascending."""
-    parent = list(range(len(columns)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    first_in_row: dict[int, int] = {}
-    for j, column in enumerate(columns):
-        for row in column:
-            k = first_in_row.setdefault(row, j)
-            parent[find(j)] = find(k)
-    blocks: dict[int, list[int]] = {}
-    for j in range(len(columns)):
-        blocks.setdefault(find(j), []).append(j)
-    return list(blocks.values())
-
-
 def _strip_content(row: dict[int, int]) -> dict[int, int]:
     g = math.gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g > 1 else row
@@ -185,26 +147,33 @@ def _kernel_vector(free_col: int, pivots: dict[int, dict[int, int]]) -> dict[int
 def kernel_oracle(d: int) -> KernelOracleResult:
     """Exact kernel of the residual map in degree d.
 
-    The residual map is built as sparse columns over the (d+1)(d+2)/2
-    monomials of degree d and split into blocks, the connected components
-    of its sparsity pattern.  Each block is eliminated fraction-free on
-    its own and its kernel vectors are found by back-substitution inside
-    the block, so cost and memory grow with the block sizes rather than
-    with the square of the number of monomials.  Kernel vectors are
-    listed by ascending free column.  ``d`` is at most ``DEGREE_BOUND``.
+    The residual map over the (d+1)(d+2)/2 monomials of degree d is
+    graded by the weight w = 2a + b of x^a*y^b*z^c: column x^a*y^b*z^c
+    has its entries, at most two, in rows x^(a-1)*y^(b+1)*z^c and
+    x^a*y^(b-1)*z^(c+1), both of weight w - 1.  So each weight gives one block of sparse rows,
+    built straight from the monomials; it is connected, since the columns
+    a and a + 1 of one weight share a row.  Each block is eliminated
+    fraction-free on its own and its kernel vectors are found by
+    back-substitution inside the block, so cost and memory grow with the
+    block sizes rather than with the square of the number of monomials.
+    Kernel vectors are listed by ascending free column.  ``d`` is at most
+    ``DEGREE_BOUND``.
     """
     _check_degree(d)
     monomials = degree_monomials(d)
-    columns = _residual_columns(monomials)
+    blocks: dict[int, tuple[list[int], dict[Exponent, dict[int, int]]]] = {}
+    for j, (a, b, c) in enumerate(monomials):
+        columns, rows = blocks.setdefault(2 * a + b, ([], {}))
+        columns.append(j)
+        if a:
+            rows.setdefault((a - 1, b + 1, c), {})[j] = -2 * a
+        if b:
+            rows.setdefault((a, b - 1, c + 1), {})[j] = b
     sparse: list[tuple[int, dict[int, int]]] = []
-    for block in _blocks(columns):
-        rows: dict[int, dict[int, int]] = {}
-        for j in block:
-            for r, value in columns[j].items():
-                rows.setdefault(r, {})[j] = value
+    for columns, rows in blocks.values():
         pivots = _echelon(rows.values())
         sparse.extend(
-            (j, _kernel_vector(j, pivots)) for j in block if j not in pivots
+            (j, _kernel_vector(j, pivots)) for j in columns if j not in pivots
         )
     sparse.sort(key=lambda item: item[0])
     vectors = []

@@ -176,7 +176,7 @@ def dense_kernel_oracle(d):
 
 class TestKernelOracleReference:
     def test_equals_dense_elimination(self):
-        for d in range(13):
+        for d in (*range(13), 16):
             assert kernel_oracle(d) == dense_kernel_oracle(d)
 
     # sha256 of `nagata oracle d --json` as printed by the dense elimination
@@ -217,6 +217,10 @@ class TestSpanEquality:
         for d in range(9):
             assert verify_basis_against_oracle(d)
 
+    @pytest.mark.parametrize("d", [20, 41, 100])
+    def test_basis_matches_oracle_above_degree_8(self, d):
+        assert verify_basis_against_oracle(d)
+
     def test_degree_three_span(self):
         elements = set(solution_basis(3).elements)
         assert elements == {Z ** 3, Z * PHI}
@@ -252,6 +256,21 @@ class TestKernelVector:
         null, = sympy.Matrix(matrix).nullspace()
         dense = sympy.Matrix([vector.get(c, 0) for c in range(len(matrix[0]))])
         assert null.rank() == sympy.Matrix.hstack(null, dense).rank() == 1
+
+
+class TestEchelon:
+    """Generic rows next to those of the residual map, whose reductions only
+    meet pivot rows of one entry."""
+
+    @pytest.mark.parametrize("rows, expected", [
+        # the second row reduces at column 0 against a pivot row holding
+        # column 1, which the row lacks; the result -1 there is a new pivot
+        ([{0: 1, 1: 1}, {0: 1}], {0: {0: 1, 1: 1}, 1: {1: -1}}),
+        # a pivot row is stored with its content 2 divided out
+        ([{0: 2, 1: 4}], {0: {0: 1, 1: 2}}),
+    ])
+    def test_generic_rows(self, rows, expected):
+        assert _echelon(rows) == expected
 
 
 def test_invariant_monomials_refuse_a_negative_degree():
