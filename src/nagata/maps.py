@@ -100,9 +100,36 @@ def _require_ring3(phi: Poly) -> None:
 
 
 def build_nagata(phi: Poly) -> NagataMap:
-    """Construct the map (x - 2*y*phi - z*phi^2, y + z*phi, z)."""
+    """Construct the map (x - 2*y*phi - z*phi^2, y + z*phi, z).
+
+    With phi = num/den, f and g are written straight as numerators over
+    den^2 and den.  phi^2 is the only product, a symmetric square that
+    takes each unordered pair of terms once; multiplying by y or z only
+    shifts exponents.  The z*phi terms of g all have a z, so none meets y,
+    and the y*phi and z*phi^2 terms of f never meet x; they may meet each
+    other and cancel (phi = y - 1/2*y*z cancels y^2*z), and ``Poly._raw``
+    drops the zeros and reduces f over den^2.
+    """
     _require_ring3(phi)
-    endo = PolyEndo(X - 2 * Y * phi - Z * phi ** 2, Y + Z * phi, Z)
+    num, den = phi._coeffs, phi._den
+    square: dict[tuple[int, int, int], int] = {}
+    get = square.get
+    items = list(num.items())
+    for i, ((a0, a1, a2), ca) in enumerate(items):
+        e = (2 * a0, 2 * a1, 2 * a2)
+        square[e] = get(e, 0) + ca * ca
+        for (b0, b1, b2), cb in items[i + 1:]:
+            e = (a0 + b0, a1 + b1, a2 + b2)
+            square[e] = get(e, 0) + 2 * ca * cb
+    f = {(a, b, c + 1): -s for (a, b, c), s in square.items()}
+    get = f.get
+    for (a, b, c), n in num.items():
+        e = (a, b + 1, c)
+        f[e] = get(e, 0) - 2 * den * n
+    f[(1, 0, 0)] = den * den
+    g = {(a, b, c + 1): n for (a, b, c), n in num.items()}
+    g[(0, 1, 0)] = den
+    endo = PolyEndo(Poly._raw(RING3, f, den * den), Poly._raw(RING3, g, den), Z)
     object.__setattr__(endo, "phi", phi)
     return NagataMap(phi=phi, endo=endo)
 

@@ -58,6 +58,45 @@ class TestBuild:
             build_nagata(T1)
 
 
+def _assert_built_as_formula(phi):
+    """Each component of build_nagata(phi) equals the formula evaluated
+    with Poly arithmetic, in value and in stored form."""
+    endo = build_nagata(phi).endo
+    formula = (X - 2 * Y * phi - Z * phi ** 2, Y + Z * phi, Z)
+    for built, expected in zip(endo, formula):
+        assert built == expected
+        assert built._coeffs == expected._coeffs
+        assert built._den == expected._den
+    return endo
+
+
+class TestBuildOnNumerators:
+    @pytest.mark.parametrize("phi", [
+        Poly.zero(RING3),
+        Poly.constant(RING3, Fraction(1, 2)),
+        Y - Fraction(1, 2) * Y * Z,
+        2 * Y - 2 * Y * Z,
+        X * Z + Y ** 2,
+    ], ids=["zero", "half", "y-1/2yz", "2y-2yz", "classical"])
+    def test_fixed_cases_match_the_formula(self, phi):
+        _assert_built_as_formula(phi)
+
+    def test_f_and_g_keep_their_own_denominators(self):
+        f, g, _ = _assert_built_as_formula(Poly.constant(RING3, Fraction(1, 2)))
+        assert str(f) == "x - y - 1/4*z" and f._den == 4
+        assert str(g) == "y + 1/2*z" and g._den == 2
+
+    @pytest.mark.parametrize("phi", [Y - Fraction(1, 2) * Y * Z, 2 * Y - 2 * Y * Z])
+    def test_y_and_z_phi_squared_terms_cancel(self, phi):
+        f, _, _ = _assert_built_as_formula(phi)
+        assert (0, 2, 1) not in f.support()
+
+    @given(poly3s)
+    def test_random_phi_match_the_formula(self, phi):
+        _assert_built_as_formula(phi)
+        _assert_built_as_formula(-phi)
+
+
 class TestJacobian:
     def test_identity_matrix(self):
         m = jacobian(IDENTITY)
