@@ -34,9 +34,6 @@ from .parse import (
 from .pde import (
     DEGREE_BOUND,
     KernelOracleResult,
-    SolutionBasis,
-    degree_monomials,
-    invariant_monomials,
     kernel_oracle,
     solution_basis,
     verify_basis_against_oracle,

@@ -166,9 +166,8 @@ def _cmd_classify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_basis(args) -> tuple[int, dict, list[str]]:
-    basis = solution_basis(args.degree)
-    elements = [str(e) for e in basis.elements]
-    return 0, {"degree": basis.degree, "elements": elements}, elements
+    elements = [str(e) for e in solution_basis(args.degree)]
+    return 0, {"degree": args.degree, "elements": elements}, elements
 
 
 def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
@@ -179,7 +178,7 @@ def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
     # is built
     if args.json:
         return code, {
-            "degree": result.degree,
+            "degree": args.degree,
             "dimension": result.dimension,
             "monomials": [_monomial_text(RING3, m) for m in result.monomials],
             "kernel_basis": [[str(x) for x in vec] for vec in result.kernel_basis],

@@ -32,14 +32,9 @@ DEGREE_BOUND = 100
 
 
 @dataclass(frozen=True)
-class SolutionBasis:
-    degree: int
-    elements: tuple[Poly, ...]
-
-
-@dataclass(frozen=True)
 class KernelOracleResult:
-    """Exact kernel of the residual map on homogeneous degree-d polynomials.
+    """Exact kernel of the residual map on homogeneous polynomials of the
+    degree passed to ``kernel_oracle``; the degree itself is not stored.
 
     ``monomials`` fixes the coordinate order (exponent tuples ascending
     lexicographically, x-exponent first); each kernel vector lists one
@@ -47,7 +42,6 @@ class KernelOracleResult:
     one is positive.
     """
 
-    degree: int
     dimension: int
     monomials: tuple[Exponent, ...]
     kernel_basis: tuple[tuple[int, ...], ...]
@@ -59,13 +53,6 @@ class KernelOracleResult:
         ]
 
 
-def invariant_monomials(d: int) -> list[tuple[int, int]]:
-    """Exponent pairs (k1, k2) with 2*k1 + k2 = d, k1 descending."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    return [(k1, d - 2 * k1) for k1 in range(d // 2, -1, -1)]
-
-
 def _check_degree(d: int) -> None:
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -73,23 +60,14 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"degree {d} exceeds the degree bound {DEGREE_BOUND}")
 
 
-def solution_basis(d: int) -> SolutionBasis:
+def solution_basis(d: int) -> tuple[Poly, ...]:
     """The floor(d/2)+1 expansions (x*z + y^2)^k1 * z^k2 with 2*k1 + k2 = d,
-    for 0 <= d <= DEGREE_BOUND."""
+    k1 descending, for 0 <= d <= DEGREE_BOUND."""
     _check_degree(d)
-    elements = tuple(
-        expand_bivariate(Poly(RING2, {(k1, k2): 1})) for k1, k2 in invariant_monomials(d)
+    return tuple(
+        expand_bivariate(Poly(RING2, {(k1, d - 2 * k1): 1}))
+        for k1 in range(d // 2, -1, -1)
     )
-    return SolutionBasis(degree=d, elements=elements)
-
-
-def degree_monomials(d: int) -> list[Exponent]:
-    """Exponents (a, b, c) with a + b + c = d, ascending lexicographically."""
-    return [
-        (a, b, d - a - b)
-        for a in range(d + 1)
-        for b in range(d - a + 1)
-    ]
 
 
 def _strip_content(row: dict[int, int]) -> dict[int, int]:
@@ -160,7 +138,8 @@ def kernel_oracle(d: int) -> KernelOracleResult:
     ``DEGREE_BOUND``.
     """
     _check_degree(d)
-    monomials = degree_monomials(d)
+    # exponents (a, b, c) with a + b + c = d, ascending lexicographically
+    monomials = [(a, b, d - a - b) for a in range(d + 1) for b in range(d - a + 1)]
     blocks: dict[int, tuple[list[int], dict[Exponent, dict[int, int]]]] = {}
     for j, (a, b, c) in enumerate(monomials):
         columns, rows = blocks.setdefault(2 * a + b, ([], {}))
@@ -183,18 +162,17 @@ def kernel_oracle(d: int) -> KernelOracleResult:
             dense[c] = x
         vectors.append(tuple(dense))
     return KernelOracleResult(
-        degree=d,
         dimension=len(vectors),
         monomials=tuple(monomials),
         kernel_basis=tuple(vectors),
     )
 
 
-def _spans_agree(oracle: KernelOracleResult, basis: SolutionBasis) -> bool:
+def _spans_agree(oracle: KernelOracleResult, basis: tuple[Poly, ...]) -> bool:
     """True iff the closed-form basis and the oracle kernel span the same
     subspace over Q (checked by exact rank computations)."""
     index = {m: i for i, m in enumerate(oracle.monomials)}
-    a_rows = [{index[m]: c for m, c in p._coeffs.items()} for p in basis.elements]
+    a_rows = [{index[m]: c for m, c in p._coeffs.items()} for p in basis]
     b_rows = [{c: x for c, x in enumerate(vec) if x} for vec in oracle.kernel_basis]
     rank_a = len(_echelon(a_rows))
     rank_b = len(_echelon(b_rows))

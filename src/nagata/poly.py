@@ -20,7 +20,7 @@ equal dicts and denominators.  Arithmetic, substitution and the degree
 and leading-form queries run on ints only and reduce each result once;
 Fraction arithmetic, which builds a value and takes a gcd per operation,
 is much slower.  A coefficient becomes a Fraction only where it leaves
-the core as a number: terms(), coefficient() and evaluate().  str()
+the core as a number: terms() and evaluate().  str()
 prints each coefficient from its numerator and den, and hash() reads the
 unordered stored form.
 
@@ -168,9 +168,6 @@ class Poly:
     def support(self) -> frozenset[Exponent]:
         return frozenset(self._coeffs)
 
-    def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return Fraction(self._coeffs.get(tuple(exp), 0), self._den)
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -281,7 +278,7 @@ class Poly:
     def __hash__(self) -> int:
         # constants hash like their value, so p == 5 implies equal hashes
         if self.is_constant():
-            return hash(self.coefficient((0,) * len(self.vars)))
+            return hash(Fraction(next(iter(self._coeffs.values()), 0), self._den))
         # the stored form is unique, so it hashes without sorting
         return hash((self.vars, self._den, frozenset(self._coeffs.items())))
 
@@ -391,13 +388,6 @@ class Poly:
     def leading_form(self) -> "Poly":
         """Highest total-degree homogeneous component."""
         return self.weighted_leading_form((1,) * len(self.vars))
-
-    def homogeneous_components(self) -> list[tuple[int, "Poly"]]:
-        """Nonzero homogeneous parts as (degree, component), degree ascending."""
-        buckets: dict[int, dict[Exponent, int]] = {}
-        for exp, coeff in self._coeffs.items():
-            buckets.setdefault(sum(exp), {})[exp] = coeff
-        return [(d, Poly._raw(self.vars, buckets[d], self._den)) for d in sorted(buckets)]
 
     # -- printing -----------------------------------------------------------
 

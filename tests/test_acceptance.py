@@ -115,12 +115,18 @@ def test_c05_explicit_inverse():
     with criterion(5, "both composition orders give the identity for 100 random p"):
         rng = random.Random(SEED + 5)
         identity = PolyEndo.identity()
-        for _ in range(100):
+        for i in range(100):
             p = random_poly2(rng, 5)
             endo = build_nagata(expand_bivariate(p)).endo
             inverse = inverse_nagata(p)
             assert compose(endo, inverse) == identity
             assert compose(inverse, endo) == identity
+            # the group law never reads the components; plain copies carry
+            # no phi, so substitution checks them (on 20 p, for time)
+            if i < 20:
+                plain_endo, plain_inverse = PolyEndo(*endo), PolyEndo(*inverse)
+                assert compose(plain_endo, plain_inverse) == identity
+                assert compose(plain_inverse, plain_endo) == identity
 
 
 def test_c06_weighted_leading_form_regression():

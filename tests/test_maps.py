@@ -209,6 +209,9 @@ class TestInverseAndCompose:
         inverse = inverse_nagata(p)
         assert compose(endo, inverse) == IDENTITY
         assert compose(inverse, endo) == IDENTITY
+        # the group law above never reads the components; substitution does
+        assert compose(_plain(endo), _plain(inverse)) == IDENTITY
+        assert compose(_plain(inverse), _plain(endo)) == IDENTITY
 
 
 def _plain(endo):
