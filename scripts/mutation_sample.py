@@ -14,8 +14,10 @@ repository is copied once into a temporary directory; each mutant is
 written there, never under src/, and the copy's tests/ run against it
 with `pytest -x`.  A mutant is killed when the run fails, times out or
 runs out of memory, and survives when every test passes.  Each result is
-printed with its file, line and operator as it completes, then the kill
-rate.  A surviving mutant is either equivalent or a gap in the tests.
+printed as it completes, with its file, line, column and operator and the
+mutated line's text, so that two sites of one token on one line print
+apart; then the kill rate.  A surviving mutant is either equivalent or a
+gap in the tests.
 
 Run:  python scripts/mutation_sample.py --seed 1 --count 20 maps pde
 """
@@ -58,6 +60,12 @@ class Mutant:
 
     def apply(self, source: str) -> str:
         return source[:self.start] + self.text + source[self.end:]
+
+    def describe(self, source: str) -> str:
+        """file:line:column (1-based), the operator and the mutated line."""
+        first = source.rfind("\n", 0, self.start) + 1
+        line = self.apply(source)[first:].partition("\n")[0].strip()
+        return f"{self.path}:{self.line}:{self.start - first + 1} {self.operator}  | {line}"
 
 
 def _offsets(source: str) -> list[int]:
@@ -171,8 +179,8 @@ def main(argv=None) -> int:
     killed = 0
     for mutant, dead in run(sample, ["tests"]):
         killed += dead
-        print(f"{'killed  ' if dead else 'SURVIVED'} {mutant.path}:{mutant.line} "
-              f"{mutant.operator}", flush=True)
+        source = (ROOT / mutant.path).read_text()
+        print(f"{'killed  ' if dead else 'SURVIVED'} {mutant.describe(source)}", flush=True)
     print(f"killed {killed} of {len(sample)} sampled from {len(pool)} sites")
     return 0
 

@@ -15,8 +15,8 @@ Verdicts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .maps import PolyEndo, build_nagata, compose, decompose, pde_residual
 from .poly import Poly, X, Y, Z
@@ -31,8 +31,7 @@ class Verdict(Enum):
     AUTOMORPHISM_TAMENESS_UNKNOWN = "AutomorphismTamenessUnknown"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Verdict plus the evidence that justifies it.  ``residual`` is set
     for every verdict; it is zero exactly for the automorphisms."""
 

@@ -8,22 +8,20 @@ closed form 2*deg(phi) + 1, with deg(0) taken as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .maps import PolyEndo, build_nagata
 from .poly import Poly, RING2, _monomial_text, expand_bivariate
 
 
-@dataclass(frozen=True)
-class LojReport:
+class LojReport(NamedTuple):
     phi_degree: int
     inverse_degree: int
     exponent: Fraction
 
 
-@dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(NamedTuple):
     base: LojReport
     deformed: LojReport
 

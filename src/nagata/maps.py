@@ -12,8 +12,9 @@ phi = x*z + y^2.  The map is an automorphism exactly when the residual
 for a bivariate p; in that case the inverse is the map of -phi.  The
 formula is written once, in ``build_nagata``, and the inverse, the
 Jacobian report and the Milnor certificate are all built through it.  A
-map from ``build_nagata`` keeps its phi, so that ``compose`` can add
-phis instead of substituting the expanded components.
+map is the named triple ``PolyEndo(f, g, h)``; one from ``build_nagata``
+also keeps its phi, so that ``compose`` can add phis instead of
+substituting the expanded components.  The reports are named tuples.
 
 Every map of the family fixes z and satisfies z*f + g^2 = x*z + y^2 (the
 2*y*z*phi and z^2*phi^2 terms cancel), so it leaves every a = p(x*z +
@@ -31,32 +32,37 @@ polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import Poly, RING2, RING3, Scalar, X, Y, Z, expand_bivariate
 
 
-@dataclass(frozen=True)
-class PolyEndo:
-    """An endomorphism of Q[x,y,z], given by the images of x, y, z.
-
-    ``phi`` is not a constructor argument: only ``build_nagata`` sets it,
-    for ``compose``, which trusts it.  Equality, hashing and repr ignore
-    it."""
-
+class _Components(NamedTuple):
     f: Poly
     g: Poly
     h: Poly
-    phi: Poly | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        for c in (self.f, self.g, self.h):
-            if c.vars != RING3:
-                raise ValueError("endomorphism components must live in Q[x,y,z]")
 
-    def __iter__(self):
-        return iter((self.f, self.g, self.h))
+class PolyEndo(_Components):
+    """An endomorphism of Q[x,y,z]: the triple (f, g, h) of the images of
+    x, y, z, each in Q[x,y,z].  ``phi`` is not a constructor argument: only
+    ``build_nagata`` sets it, for ``compose``, which trusts it.  Equality,
+    hashing and repr are the tuple's and ignore it; ``_replace`` drops it."""
+
+    phi: Poly | None = None
+
+    def __new__(cls, f: Poly, g: Poly, h: Poly) -> "PolyEndo":
+        if any(c.vars != RING3 for c in (f, g, h)):
+            raise ValueError("endomorphism components must live in Q[x,y,z]")
+        return super().__new__(cls, f, g, h)
+
+    @classmethod
+    def _make(cls, components) -> "PolyEndo":
+        return cls(*components)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PolyEndo is immutable; cannot set {name!r}")
 
     @classmethod
     def identity(cls) -> "PolyEndo":
@@ -69,23 +75,20 @@ class PolyEndo:
                 self.h.evaluate(*point))
 
 
-@dataclass(frozen=True)
-class NagataMap:
+class NagataMap(NamedTuple):
     """A polynomial phi together with its map."""
 
     phi: Poly
     endo: PolyEndo
 
 
-@dataclass(frozen=True)
-class JacobianReport:
+class JacobianReport(NamedTuple):
     matrix: tuple[tuple[Poly, ...], ...]
     determinant: Poly
     is_constant_nonzero: bool
 
 
-@dataclass(frozen=True)
-class MilnorCertificate:
+class MilnorCertificate(NamedTuple):
     """Coefficient triples (A,B,C) and (A',B',C') with A*f + B*g + C*h = x
     and A'*f + B'*g + C'*h = y, proving <f,g,h> = <x,y,z> and hence that
     the map has Milnor number 1."""

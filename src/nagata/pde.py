@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poly import Exponent, Poly, RING2, RING3, expand_bivariate
 
 DEGREE_BOUND = 100
 
 
-@dataclass(frozen=True)
-class KernelOracleResult:
+class KernelOracleResult(NamedTuple):
     """Exact kernel of the residual map on homogeneous polynomials of the
     degree passed to ``kernel_oracle``; the degree itself is not stored.
 

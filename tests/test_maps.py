@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -381,7 +380,7 @@ class TestMilnorSelfCheck:
         def wrong(phi):
             nagata_map = build(phi)
             f, g = spoil(phi, nagata_map.endo.f, nagata_map.endo.g)
-            return dataclasses.replace(nagata_map, endo=PolyEndo(f, g, Z))
+            return nagata_map._replace(endo=PolyEndo(f, g, Z))
 
         monkeypatch.setattr(nagata.maps, "build_nagata", wrong)
         with pytest.raises(RuntimeError,
@@ -392,3 +391,42 @@ class TestMilnorSelfCheck:
 def test_components_outside_the_ring_are_refused():
     with pytest.raises(ValueError, match="components must live in Q\\[x,y,z\\]"):
         PolyEndo(T1, Y, Z)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PolyEndo._make((T1, Y, Z)),
+    lambda: build_nagata(PHI).endo._replace(f=T1),
+], ids=["_make", "_replace"])
+def test_tuple_constructors_refuse_components_outside_the_ring(build):
+    with pytest.raises(ValueError, match="components must live in Q\\[x,y,z\\]"):
+        build()
+
+
+class TestTupleForm:
+    """PolyEndo is the named triple (f, g, h); it cannot be changed, and a
+    changed copy carries no phi that compose could trust."""
+
+    def test_the_triple(self):
+        endo = build_nagata(PHI).endo
+        assert tuple(endo) == (endo.f, endo.g, endo.h)
+        assert len(endo) == 3
+        assert endo == (endo.f, endo.g, endo.h)
+
+    @pytest.mark.parametrize("name", ["phi", "f"])
+    def test_attributes_cannot_be_set(self, name):
+        endo = build_nagata(PHI).endo
+        with pytest.raises(AttributeError):
+            setattr(endo, name, X)
+        assert endo.phi == PHI
+        assert endo.f == X - 2 * Y * PHI - Z * PHI ** 2
+
+    def test_replace_drops_phi(self):
+        endo = build_nagata(PHI).endo
+        changed = endo._replace(f=endo.f + Z)
+        assert changed.phi is None
+        assert changed == (endo.f + Z, endo.g, endo.h)
+        # a kept phi would take the group law and give N(PHI + X)
+        inner = build_nagata(X).endo
+        generic = tuple(component.substitute(*inner) for component in changed)
+        assert compose(changed, inner) == generic
+        assert compose(changed, inner) != build_nagata(PHI + X).endo

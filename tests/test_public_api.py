@@ -1,6 +1,10 @@
 """The package's public surface: ``nagata.__all__`` and what it binds."""
 
 import importlib
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -56,9 +60,40 @@ def test_removed_names_are_absent(name):
     (nagata.Poly, "constant_value"),
     (nagata.Poly, "coefficient"),
     (nagata.Poly, "homogeneous_components"),
-    # a dataclass field without a default is no class attribute, so the
-    # field is looked up on an instance
     (nagata.kernel_oracle(0), "degree"),
+    # a NamedTuple field is a class attribute, so the class pins it too
+    (nagata.KernelOracleResult, "degree"),
 ])
 def test_removed_members_are_absent(owner, name):
     assert not hasattr(owner, name)
+
+
+RECORDS = ["Classification", "DeformationReport", "JacobianReport",
+           "KernelOracleResult", "LojReport", "MilnorCertificate", "NagataMap",
+           "PolyEndo"]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_named_tuples(name):
+    record = getattr(nagata, name)
+    assert issubclass(record, tuple)
+    assert record._fields
+
+
+def test_records_unpack_and_compare_as_tuples():
+    phi = nagata.X * nagata.Z + nagata.Y ** 2
+    nagata_map = nagata.build_nagata(phi)
+    assert tuple(nagata_map) == (phi, nagata_map.endo)
+    assert nagata.loj_exponent(nagata.T1) == (2, 5, Fraction(1, 5))
+
+
+def test_cli_import_loads_no_dataclasses():
+    """A CLI call is a fresh process that first imports nagata.cli, so its
+    import stays clear of dataclasses and the inspect module it pulls in."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import nagata.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-I", "-c", code, src],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -79,11 +79,16 @@ def _tree_digest(path: Path) -> str:
     return digest.hexdigest()
 
 
-def test_mutation_sample_kills_a_fixed_mutant_outside_src():
+def _mutation_sample():
     spec = importlib.util.spec_from_file_location(
         "mutation_sample", ROOT / "scripts" / "mutation_sample.py")
     sample = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sample)
+    return sample
+
+
+def test_mutation_sample_kills_a_fixed_mutant_outside_src():
+    sample = _mutation_sample()
     path = Path("src", "nagata", "lojasiewicz.py")
     lines = (ROOT / path).read_text().splitlines()
     # the inverse-degree self-check, 2*deg(phi) + 1 -> 2*deg(phi) - 1
@@ -95,3 +100,21 @@ def test_mutation_sample_kills_a_fixed_mutant_outside_src():
     results = list(sample.run([mutant, unchanged], ["tests/test_lojasiewicz.py"]))
     assert results == [(mutant, True), (unchanged, False)]
     assert _tree_digest(ROOT / "src") == before
+
+
+def test_mutation_sample_tells_apart_two_sites_on_one_line():
+    """kernel_oracle's monomial list holds range(d + 1) and range(d - a + 1);
+    their two 1 -> 2 mutants print the column and the mutated line."""
+    sample = _mutation_sample()
+    path = Path("src", "nagata", "pde.py")
+    source = (ROOT / path).read_text()
+    lines = source.splitlines()
+    first, second = [m for m in sample.sites(path) if m.operator == "1 -> 2"
+                     and "for b in range(d - a + 1)" in lines[m.line - 1]]
+    text = lines[first.line - 1]
+    column = text.index("range(d + 1)") + len("range(d + ") + 1
+    assert first.describe(source) == (
+        f"{path}:{first.line}:{column} 1 -> 2  | "
+        + text.strip().replace("range(d + 1)", "range(d + 2)"))
+    assert second.describe(source).endswith("for b in range(d - a + 2)]")
+    assert second.describe(source) != first.describe(source)
