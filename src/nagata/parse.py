@@ -36,10 +36,9 @@ numeral or second coefficient.  A zero denominator or a name outside the
 ring declines the text as well.  Every other text is split into tokens
 by one regular expression and parsed by recursive descent.  As no
 admitted text fails a check, every ParseError, with its position and
-expected set, comes from the recursive descent.  The parser's
-values are plain exponent -> coefficient dicts, and only the result of
-``parse`` becomes a ``Poly``; each "*" and "^" estimates its result and
-then multiplies ``Poly`` values.
+expected set, comes from the recursive descent.  The descent computes on
+``Poly`` values, and each "*" and "^" estimates its result before it
+multiplies them; a sum collects its terms in one dict, in linear time.
 """
 
 from __future__ import annotations
@@ -49,10 +48,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import Exponent, Poly, RING2, RING3, Scalar, _common_den
-
-# a parsed value: exponent -> nonzero coefficient, {} for 0
-_Terms = dict[Exponent, Scalar]
+from .poly import Exponent, Poly, RING2, RING3, _common_den
 
 
 class ParseError(ValueError):
@@ -231,8 +227,8 @@ _MAX_NESTING = 100
 
 
 class _Parser:
-    """Values are exponent -> nonzero coefficient dicts, {} for 0; parse()
-    wraps the last one in a Poly."""
+    """The one-pass reader, then recursive descent over the tokens; every
+    value of the descent is a Poly."""
 
     def __init__(self, text: str, names: tuple[str, ...], offset: int = 0):
         self.text = text
@@ -263,16 +259,16 @@ class _Parser:
             value = self.expr()
             if self.peek().kind != "end":
                 raise self.fail(frozenset({"'+'", "'-'", "'*'", "end of input"}))
-        return Poly._raw(self.names, *_common_den(value))
+        return value
 
-    def read_canonical(self) -> _Terms | None:
+    def read_canonical(self) -> Poly | None:
         """The value of text in canonical form, or None for any other text
         and for one with a zero denominator or a name outside the ring,
         which the tokens then refuse.  Terms are summed in text order, zero
         ones skipped and cancelled ones dropped, as in expr."""
         if not re.fullmatch(_CANONICAL, self.text):
             return None
-        acc: _Terms = {}
+        acc = {}
         for sign, num, den, monomial in re.findall(_SIGNED_TERM, self.text):
             c = int(num) if num else 1
             if den:
@@ -294,36 +290,33 @@ class _Parser:
                     exponent[i] += int(k) if k else 1
                 e = tuple(exponent)
             acc[e] = acc[e] + c if e in acc else c
-        return {e: c for e, c in acc.items() if c}
+        return Poly._raw(self.names, *_common_den(acc))
 
-    def expr(self) -> _Terms:
+    def expr(self) -> Poly:
         # the signed terms go into one dict, so a sum costs time linear
         # in its length rather than a copy of the sum so far per "+"
-        acc = self.term()
+        acc = self.term()._scalars()
         while self.peek().kind in ("+", "-"):
             minus = self.advance().kind == "-"
-            for e, c in self.term().items():
+            for e, c in self.term()._scalars().items():
                 if minus:
                     c = -c
                 acc[e] = acc[e] + c if e in acc else c
         # cancelled terms go, so that (x - x)^n is 0 and (x + 1 - 1) a monomial
-        return {e: c for e, c in acc.items() if c}
+        return Poly._raw(self.names, *_common_den(acc))
 
-    def term(self) -> _Terms:
+    def term(self) -> Poly:
         value = self.factor()
         while self.peek().kind == "*":
             tok = self.advance()
             rhs = self.factor()
-            if not value or not rhs:
-                value = {}
-            else:
-                a = Poly._raw(self.names, *_common_den(value))
-                b = Poly._raw(self.names, *_common_den(rhs))
-                _check_product(tok, a, b)
-                value = (a * b)._scalars()
+            # a zero factor needs no estimate, and has no term to estimate from
+            if value and rhs:
+                _check_product(tok, value, rhs)
+            value = value * rhs
         return value
 
-    def factor(self) -> _Terms:
+    def factor(self) -> Poly:
         negate = False
         if self.peek().kind == "-":
             self.advance()
@@ -336,17 +329,15 @@ class _Parser:
             if self.peek().kind != "number":
                 raise self.fail(frozenset({"number"}))
             n = int(self.advance().text)
-            if n == 0:
-                value = {self.zero: 1}  # 0^0 is 1 too
-            elif value:
-                base = Poly._raw(self.names, *_common_den(value))
-                _check_power(tok, base, n)
-                value = (base ** n)._scalars()
-        if negate:
-            return {e: -c for e, c in value.items()}
-        return value
+            # a zero base skips Poly.__pow__'s loop, one pass per bit of n
+            if value:
+                _check_power(tok, value, n)
+                value = value ** n
+            elif not n:
+                value = Poly.constant(self.names, 1)  # 0^0 is 1 too
+        return -value if negate else value
 
-    def base(self) -> _Terms:
+    def base(self) -> Poly:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
@@ -360,13 +351,12 @@ class _Parser:
                 if int(den_tok.text) == 0:
                     raise ParseError("zero denominator", den_tok.position)
                 value = Fraction(value, int(den_tok.text))
-            return {self.zero: value} if value else {}
+            return Poly.constant(self.names, value)
         if tok.kind == "ident":
             self.advance()
-            i = self.index.get(tok.text)
-            if i is None:
+            if tok.text not in self.index:
                 raise UnknownIdentifierError(tok.text, tok.position, self.names)
-            return {self.zero[:i] + (1,) + self.zero[i + 1:]: 1}
+            return Poly.variable(self.names, tok.text)
         if tok.kind == "(":
             if self.nesting == _MAX_NESTING:
                 raise ParseError(

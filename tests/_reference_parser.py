@@ -1,14 +1,15 @@
 """Reference tokenizer and parser: the character loop and the
 ``Poly``-valued recursive descent that ``nagata.parse`` used before its
-values became exponent dicts, kept as test_pde.py keeps the dense kernel
+regular-expression tokenizer, kept as test_pde.py keeps the dense kernel
 oracle.  It reads a ``Poly`` only through ``terms()`` and builds one only
 through its public constructors, so it does not depend on how ``Poly``
 stores its coefficients.
 
 Every value here is a ``Poly``, and every "*" and "^" runs the size
 estimate of ``nagata.parse`` and then ``Poly`` arithmetic.  The package's
-parser keeps exponent dicts as its values and reads canonical text in
-one pass without tokens; both must give the same polynomial or the same
+parser splits text into tokens with one regular expression, collects
+the terms of each sum in one dict and reads canonical text in one pass
+without tokens; both must give the same polynomial or the same
 ``ParseError``.
 """
 

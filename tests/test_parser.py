@@ -360,8 +360,8 @@ offsets = st.sampled_from([0, 1, 17])
 
 
 class TestAgainstReference:
-    """The exponent-dict parser gives the value or the ParseError of the
-    Poly-valued reference parser (tests/_reference_parser.py)."""
+    """The package's parser gives the value or the ParseError of the
+    reference parser (tests/_reference_parser.py)."""
 
     @given(texts, rings, offsets)
     @settings(max_examples=500, deadline=None)
@@ -402,6 +402,44 @@ def test_canonical_text_parses_without_poly_arithmetic(monkeypatch):
     assert parse_poly3(text) == p
     # each monomial is built on its exponents, not by Poly products
     assert calls == []
+
+
+def test_zero_base_powers_skip_poly_pow(monkeypatch):
+    calls = []
+
+    def counted(self, n, _original=Poly.__pow__):
+        calls.append(n)
+        return _original(self, n)
+
+    monkeypatch.setattr(Poly, "__pow__", counted)
+    # Poly.__pow__ squares once per bit of n, so a zero base with a
+    # 1000-digit exponent would run its loop 3322 times for a known 0
+    assert parse_poly3(f"(x - x)^{HUGE}") == 0
+    assert parse_poly3(f"0^{HUGE}*(x+1)") == 0
+    assert calls == []
+    assert parse_poly3("0^0") == 1
+    assert parse_poly2("(t1 - t1)^0") == 1
+    assert parse_poly3("x^0") == parse_poly3("(x)^0") == 1
+
+
+same_ring_pairs = st.one_of(st.tuples(poly3s, poly3s, st.just(RING3)),
+                            st.tuples(poly2s, poly2s, st.just(RING2)))
+
+
+@given(same_ring_pairs)
+def test_token_path_arithmetic_on_printed_values(pair):
+    # the recursive descent against Poly arithmetic, an oracle apart from
+    # the reference parser; the parentheses keep the one-pass reader out
+    p, q, names = pair
+
+    def value(text):
+        return _Parser(text, names).parse()
+
+    assert value(f"({p})") == p
+    assert value(f"-({p})") == -p
+    assert value(f"({p})*({q})") == p * q
+    assert value(f"({p})^3") == p ** 3
+    assert value(f"({p}) - ({p})") == 0
 
 
 # (id, text, the rings in which the one-pass reader takes it): texts at the
