@@ -18,7 +18,11 @@ deep; deeper input is a ParseError rather than a stack overflow.  A
 numeral has at most 1000 digits.  Each "^" and "*" estimates the size of
 its result before expanding it; one that may have more than 1000 terms,
 a coefficient above 2^4096, more than 2^18 coefficient bits in all or a
-degree of more than 1000 digits is a ParseError at the operator.
+degree of more than 1000 digits is a ParseError at the operator.  A sum
+of terms joined by "+" and "-" is held to the same 2^4096: its common
+denominator is checked as each term joins and its numerators once it is
+summed, so the ParseError is at the "+" or "-" of the term whose
+denominator crosses the bound, or else at the sum's last one.
 Positions in error messages are 1-based character offsets; end-of-input
 is reported at the last character of the text.  The canonical printed
 form of a polynomial is ``str(poly)``, which always re-parses.
@@ -26,29 +30,30 @@ form of a polynomial is ``str(poly)``, which always re-parses.
 Text in the canonical printed form, signed terms such as
 ``3/2*x*y^2 - z`` joined by " + " and " - ", is read in one pass: one
 regular expression admits the whole text, a second picks out its terms,
-and they are summed into one exponent -> coefficient dict.  This changes
-which code reads a text, not the grammar.  Only text on which no check
-of the parser can fire is admitted: numerals of at most 1000 digits, so
-that a coefficient times a monomial has at most 3322 bits, below the
-2^4096 limit; exponents of at most 9 digits, so that no text that fits
-in memory reaches the degree limit; and no parenthesis, power of a
-numeral or second coefficient.  A zero denominator or a name outside the
-ring declines the text as well.  Every other text is split into tokens
-by one regular expression and parsed by recursive descent.  As no
-admitted text fails a check, every ParseError, with its position and
-expected set, comes from the recursive descent.  The descent computes on
-``Poly`` values, and each "*" and "^" estimates its result before it
-multiplies them; a sum collects its terms in one dict, in linear time.
+and they are summed as integer numerators over their least common
+denominator, as the descent sums.  This changes which code reads a text,
+not the grammar.  Only text on which no check of the parser can fire is
+admitted: numerals of at most 1000 digits, so that a coefficient times a
+monomial has at most 3322 bits, below the 2^4096 limit; exponents of at
+most 9 digits, so that no text that fits in memory reaches the degree
+limit; and no parenthesis, power of a numeral or second coefficient.  A
+zero denominator, a name outside the ring or a sum over the 2^4096
+bound, checked as the descent checks it, declines the text as well.
+Every other text is split into tokens by one regular expression and
+parsed by recursive descent.  As no admitted text fails a check, every
+ParseError, with its position and expected set, comes from the recursive
+descent.  The descent computes on ``Poly`` values, and each "*" and "^"
+estimates its result before it multiplies them; a sum adds its terms'
+numerators once, in linear time.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import Exponent, Poly, RING2, RING3, _common_den
+from .poly import Exponent, Poly, RING2, RING3, _sum
 
 
 class ParseError(ValueError):
@@ -166,6 +171,11 @@ def _check_bits(tok: _Token, bits: int) -> None:
                          tok.position)
 
 
+def _sum_bits(p: Poly) -> int:
+    """The bits of p's largest numerator, as _check_bits counts them."""
+    return (max(map(abs, p._coeffs.values()), default=1) - 1).bit_length()
+
+
 def _check_size(tok: _Token, terms: int, bits: int) -> None:
     if terms > _MAX_TERMS:
         raise ParseError(f"'{tok.kind}' may give more than {_MAX_TERMS} terms",
@@ -263,22 +273,25 @@ class _Parser:
 
     def read_canonical(self) -> Poly | None:
         """The value of text in canonical form, or None for any other text
-        and for one with a zero denominator or a name outside the ring,
-        which the tokens then refuse.  Terms are summed in text order, zero
-        ones skipped and cancelled ones dropped, as in expr."""
+        and for one with a zero denominator, a name outside the ring or a
+        sum over the 2^4096 bound, which the tokens then refuse.  Terms are
+        summed in text order as integer numerators over their common
+        denominator, zero ones skipped and cancelled ones dropped, as in
+        expr."""
         if not re.fullmatch(_CANONICAL, self.text):
             return None
-        acc = {}
+        terms = []
+        lcm = 1
         for sign, num, den, monomial in re.findall(_SIGNED_TERM, self.text):
             c = int(num) if num else 1
-            if den:
-                if not int(den):
-                    return None
-                c = Fraction(c, int(den))
+            d = int(den) if den else 1
+            if not d:
+                return None
             if not c:
                 continue
-            if sign == "-":
-                c = -c
+            lcm = math.lcm(lcm, d)
+            if (lcm - 1).bit_length() > _MAX_BITS:
+                return None
             e = self.zero
             if monomial:
                 exponent = [0] * len(e)
@@ -289,21 +302,29 @@ class _Parser:
                         return None
                     exponent[i] += int(k) if k else 1
                 e = tuple(exponent)
-            acc[e] = acc[e] + c if e in acc else c
-        return Poly._raw(self.names, *_common_den(acc))
+            terms.append((e, -c if sign == "-" else c, d))
+        value = _sum(self.names, terms)
+        return value if _sum_bits(value) <= _MAX_BITS else None
 
     def expr(self) -> Poly:
-        # the signed terms go into one dict, so a sum costs time linear
-        # in its length rather than a copy of the sum so far per "+"
-        acc = self.term()._scalars()
+        value = self.term()
+        # the signed terms are summed once, so a sum costs time linear in
+        # its length rather than a copy of the sum so far per "+"
+        terms = [(e, c, value._den) for e, c in value._coeffs.items()]
+        den, tok = value._den, None
         while self.peek().kind in ("+", "-"):
-            minus = self.advance().kind == "-"
-            for e, c in self.term()._scalars().items():
-                if minus:
-                    c = -c
-                acc[e] = acc[e] + c if e in acc else c
+            tok = self.advance()
+            sign = 1 if tok.kind == "+" else -1
+            value = self.term()
+            # checked per term, so a refused sum stops at the crossing term
+            den = math.lcm(den, value._den)
+            _check_bits(tok, (den - 1).bit_length())
+            terms += [(e, sign * c, value._den) for e, c in value._coeffs.items()]
         # cancelled terms go, so that (x - x)^n is 0 and (x + 1 - 1) a monomial
-        return Poly._raw(self.names, *_common_den(acc))
+        value = _sum(self.names, terms)
+        if tok:
+            _check_bits(tok, _sum_bits(value))
+        return value
 
     def term(self) -> Poly:
         value = self.factor()
@@ -341,17 +362,17 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            value = int(tok.text)
+            den = 1
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.peek()
                 if den_tok.kind != "number":
                     raise self.fail(frozenset({"number"}))
                 self.advance()
-                if int(den_tok.text) == 0:
+                den = int(den_tok.text)
+                if not den:
                     raise ParseError("zero denominator", den_tok.position)
-                value = Fraction(value, int(den_tok.text))
-            return Poly.constant(self.names, value)
+            return Poly._raw(self.names, {self.zero: int(tok.text)}, den)
         if tok.kind == "ident":
             self.advance()
             if tok.text not in self.index:

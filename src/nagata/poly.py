@@ -19,10 +19,11 @@ gcd(den, *numerators) == 1.  That form is unique, so equal values have
 equal dicts and denominators.  Arithmetic, substitution and the degree
 and leading-form queries run on ints only and reduce each result once;
 Fraction arithmetic, which builds a value and takes a gcd per operation,
-is much slower.  A coefficient becomes a Fraction only where it leaves
-the core as a number: terms() and evaluate().  str()
-prints each coefficient from its numerator and den, and hash() reads the
-unordered stored form.
+is much slower.  Rational terms enter through one integer sum, _sum,
+for the constructor and the parser alike.  A coefficient becomes a
+Fraction only where it leaves the core as a number: terms() and
+evaluate().  str() prints each coefficient from its numerator and den,
+and hash() reads the unordered stored form.
 
 expand_bivariate(p) = p(x*z + y^2, z) is written in closed form: by the
 binomial theorem c*t1^k*t2^m expands to the terms c*C(k,i)*x^i*y^(2k-2i)*
@@ -83,12 +84,16 @@ def _monomial_text(names: Sequence[str], exp: Exponent) -> str:
     return "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(names, exp) if e]) or "1"
 
 
-def _common_den(scalars: Mapping[Exponent, Scalar]) -> tuple[dict[Exponent, int], int]:
-    """The stored form of an exponent -> int or Fraction dict: its nonzero
-    coefficients as numerators over their least common denominator, which
-    shares no factor with all of them."""
-    den = math.lcm(*[c.denominator for c in scalars.values()])
-    return {e: c.numerator * (den // c.denominator) for e, c in scalars.items() if c}, den
+def _sum(names: tuple[str, ...], terms: Sequence[tuple[Exponent, int, int]]) -> "Poly":
+    """The (exponent, numerator, positive denominator) terms added in order
+    over their least common denominator; it checks nothing, so each
+    exponent must be valid for names."""
+    den = math.lcm(*[d for _, _, d in terms])
+    acc: dict[Exponent, int] = {}
+    for e, c, d in terms:
+        c *= den // d
+        acc[e] = acc[e] + c if e in acc else c
+    return Poly._raw(names, acc, den)
 
 
 class Poly:
@@ -107,14 +112,15 @@ class Poly:
     def __init__(self, vars: Sequence[str], terms=()):  # noqa: A002 - domain term
         names = tuple(vars)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Exponent, Scalar] = {}
+        triples: list[tuple[Exponent, int, int]] = []
         for exp, coeff in items:
             exp = tuple(exp)
             if len(exp) != len(names) or not all(isinstance(e, int) and e >= 0 for e in exp):
                 raise ValueError(f"bad exponent {exp!r} for variables {names!r}")
-            acc[exp] = acc.get(exp, 0) + _as_coeff(coeff)
-        self.vars = names
-        self._coeffs, self._den = _common_den(acc)
+            c = _as_coeff(coeff)
+            triples.append((exp, c.numerator, c.denominator))
+        value = _sum(names, triples)
+        self.vars, self._coeffs, self._den = names, value._coeffs, value._den
 
     @classmethod
     def _raw(cls, names: tuple[str, ...], numerators: dict[Exponent, int], den: int) -> "Poly":
@@ -155,15 +161,12 @@ class Poly:
 
     # -- basic structure ------------------------------------------------
 
-    def _scalars(self) -> dict[Exponent, Scalar]:
-        """Exponent -> coefficient, an int if it is integral and a Fraction
-        otherwise."""
-        den = self._den
-        return {e: Fraction(c, den) if c % den else c // den for e, c in self._coeffs.items()}
-
     def terms(self) -> Iterator[tuple[Exponent, Scalar]]:
-        """Yield (exponent, coefficient) pairs in canonical order."""
-        return iter(sorted(self._scalars().items(), key=_term_key))
+        """Yield (exponent, coefficient) pairs in canonical order, each
+        coefficient an int if it is integral and a Fraction otherwise."""
+        den = self._den
+        return iter(sorted([(e, Fraction(c, den) if c % den else c // den)
+                            for e, c in self._coeffs.items()], key=_term_key))
 
     def support(self) -> frozenset[Exponent]:
         return frozenset(self._coeffs)
@@ -310,7 +313,8 @@ class Poly:
             raise ValueError(
                 f"substitute needs {len(self.vars)} values, got {len(values)}"
             )
-        target = values[0].vars
+        # a value that is no Poly is refused before its vars are read
+        target = getattr(values[0], "vars", None)
         for v in values:
             if not isinstance(v, Poly) or v.vars != target:
                 raise ValueError("substituted values must share one polynomial ring")

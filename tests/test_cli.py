@@ -224,6 +224,16 @@ class TestErrorsAndReproducibility:
         # of more than 4300 digits
         assert invoke(capsys, "analyze", phi) == (2, "", f"error: {line}\n")
 
+    def test_oversized_sum_exits_two_with_a_position(self, capsys):
+        # three coprime 1000-digit denominators: before sums were bounded,
+        # the inverse's phi^2 failed to print (Python's 4300-digit limit)
+        # with no position
+        phi = f"1/{10 ** 999 + 7}*z + 1/{10 ** 999 + 9}*z + 1/{10 ** 999 + 13}*z"
+        code, out, err = invoke(capsys, "analyze", phi)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("at position 1006\n")
+
     def test_power_at_the_bit_limit_prints(self, capsys):
         # the inverse holds phi^2, a coefficient of 8193 bits (2467 digits)
         code, doc, err = invoke_json(capsys, "analyze", "2^4096")

@@ -312,6 +312,50 @@ def test_rational_power_parses_quickly():
     assert elapsed < 0.1
 
 
+# a coefficient of a sum is bounded as one of a "*" or "^" is: its common
+# denominator and every numerator over it are at most 2^4096
+SUM_OF_100_DENOMINATORS = " + ".join(f"1/{10 ** 999 + 2 * k + 1}*z^{k}" for k in range(100))
+SUM_OF_3_DENOMINATORS = f"1/{10 ** 999 + 7}*z + 1/{10 ** 999 + 9}*z + 1/{10 ** 999 + 13}*z"
+
+
+def test_sum_over_the_bit_limit_stops_at_the_crossing_term():
+    # each term's 1000-digit denominator is coprime to the others', so the
+    # common denominator passes 2^4096 at the first "+"; summing all 100
+    # took 2.47 s of CPU on a 2-core VM
+    assert len(SUM_OF_100_DENOMINATORS) == 100987
+    start = time.process_time()
+    with pytest.raises(ParseError, match=r"'\+' may give a coefficient above 2\^4096") as info:
+        parse_poly3(SUM_OF_100_DENOMINATORS)
+    assert time.process_time() - start < 0.1
+    assert info.value.position == 1008
+
+
+@pytest.mark.parametrize("text, position", [
+    (SUM_OF_3_DENOMINATORS, 1006),
+    ("2^4096 + 1", 8),
+    ("x - 2^4096 - 1", 12),
+    (f"{HUGE}*x + 1/{HUGE}*y", 1004),
+], ids=["denominators", "numerator", "last-operator", "numerator-over-denominator"])
+def test_sum_over_the_bit_limit_rejected(text, position):
+    with pytest.raises(ParseError, match="coefficient above 2\\^4096") as info:
+        parse_poly3(text)
+    assert info.value.position == position
+
+
+def test_sums_at_the_bit_limit_parse():
+    assert parse_poly3("2^4096 - 1 + 1") == 2 ** 4096
+    assert parse_poly3("(1/2)^4096*x + 1/2*y") == Fraction(1, 2 ** 4096) * X + Fraction(1, 2) * Y
+    # the one-pass reader takes these: a repeated denominator does not grow
+    # the common one, and the coprime 2^2048 + 1 and 2^2048 - 1 give
+    # 2^4096 - 1, over which z has that numerator too
+    a, b = 2 ** 2048 + 1, 2 ** 2048 - 1
+    texts = {f"1/{3 ** 2000}*x + 1/{3 ** 2000}*y": Fraction(1, 3 ** 2000) * (X + Y),
+             f"1/{a}*x + 1/{b}*y + z": Fraction(1, a) * X + Fraction(1, b) * Y + Z}
+    with mock.patch.object(parse, "_tokenize", side_effect=AssertionError("tokenized")):
+        for text, value in texts.items():
+            assert parse_poly3(text) == value
+
+
 class TestPrinting:
     def test_canonical_examples(self):
         assert str(PHI) == "y^2 + x*z"
@@ -402,6 +446,25 @@ def test_canonical_text_parses_without_poly_arithmetic(monkeypatch):
     assert parse_poly3(text) == p
     # each monomial is built on its exponents, not by Poly products
     assert calls == []
+
+
+def test_parsing_builds_no_fraction(monkeypatch):
+    # rationals enter a Poly as integer numerators over a denominator, on
+    # the one-pass reader and on the recursive descent alike
+    cases = [(parse_poly3, "3/2*x*y^2 - 5/6*z + 7/4 - 1/4*x"),
+             (parse_poly3, "-(1/2*x + 2/3)^3*(y - 3/4*z) + 5/8*x^2"),
+             (parse_poly2, "(1/3*t1 - 3/2)^2*t2 - 1/4*t1*t2")]
+    values = [parse_poly(text) for parse_poly, text in cases]
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    assert [parse_poly(text) for parse_poly, text in cases] == values
+    assert made == []
 
 
 def test_zero_base_powers_skip_poly_pow(monkeypatch):

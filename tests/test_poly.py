@@ -145,6 +145,7 @@ class TestSubstituteEvaluate:
     @pytest.mark.parametrize("call, message", [
         (lambda: X.substitute(X, Y), "substitute needs 3 values, got 2"),
         (lambda: X.substitute(X, Y, T1), "must share one polynomial ring"),
+        (lambda: X.substitute(1, Y, Z), "must share one polynomial ring"),
         (lambda: X.evaluate(1, 2), "evaluate needs 3 coordinates"),
     ])
     def test_wrong_arguments_rejected(self, call, message):
@@ -490,6 +491,18 @@ class TestIntegerProductKernel:
         # operand on either side, integer-only operands and zero
         self._check(p, q)
         self._check(q, p)
+
+
+def test_constructor_keeps_no_reference_to_its_input():
+    d = {(1, 0, 0): 2, (0, 1, 1): Fraction(-3, 4), (0, 0, 0): Fraction(1, 6)}
+    p = Poly(RING3, d)
+    expected = 2 * X - Fraction(3, 4) * Y * Z + Fraction(1, 6)
+    assert p == expected
+    d[(1, 0, 0)] = 5
+    d[(0, 0, 2)] = 1
+    assert p == expected
+    d.clear()
+    assert p == expected and str(p) == "-3/4*y*z + 2*x + 1/6"
 
 
 def test_arithmetic_with_denominators_builds_no_fraction(monkeypatch):
