@@ -76,9 +76,9 @@ def _offsets(source: str) -> list[int]:
     return starts
 
 
-def sites(path: Path) -> list[Mutant]:
-    """Every mutant of one module, in source order."""
-    source = (ROOT / path).read_text()
+def sites(path: Path, source: str) -> list[Mutant]:
+    """Every mutant of the module at path, whose text is source, in source
+    order."""
     lines = source.splitlines()
     line_start = _offsets(source)
 
@@ -174,13 +174,17 @@ def main(argv=None) -> int:
                         help="module names under src/nagata, e.g. maps pde (default: all)")
     args = parser.parse_args(argv)
     names = args.modules or sorted(p.stem for p in (ROOT / PACKAGE).glob("*.py"))
-    pool = [m for name in names for m in sites(PACKAGE / f"{name}.py")]
+    # each module is read once: a mutant is printed from the source its
+    # site was found in, even if the module is edited while the sample runs
+    sources = {PACKAGE / f"{name}.py": (ROOT / PACKAGE / f"{name}.py").read_text()
+               for name in names}
+    pool = [m for path, source in sources.items() for m in sites(path, source)]
     sample = random.Random(args.seed).sample(pool, min(args.count, len(pool)))
     killed = 0
     for mutant, dead in run(sample, ["tests"]):
         killed += dead
-        source = (ROOT / mutant.path).read_text()
-        print(f"{'killed  ' if dead else 'SURVIVED'} {mutant.describe(source)}", flush=True)
+        print(f"{'killed  ' if dead else 'SURVIVED'} {mutant.describe(sources[mutant.path])}",
+              flush=True)
     print(f"killed {killed} of {len(sample)} sampled from {len(pool)} sites")
     return 0
 

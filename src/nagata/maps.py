@@ -53,7 +53,7 @@ class PolyEndo(_Components):
     phi: Poly | None = None
 
     def __new__(cls, f: Poly, g: Poly, h: Poly) -> "PolyEndo":
-        if any(c.vars != RING3 for c in (f, g, h)):
+        if not f.vars == g.vars == h.vars == RING3:
             raise ValueError("endomorphism components must live in Q[x,y,z]")
         return super().__new__(cls, f, g, h)
 

@@ -20,10 +20,15 @@ equal dicts and denominators.  Arithmetic, substitution and the degree
 and leading-form queries run on ints only and reduce each result once;
 Fraction arithmetic, which builds a value and takes a gcd per operation,
 is much slower.  Rational terms enter through one integer sum, _sum,
-for the constructor and the parser alike.  A coefficient becomes a
-Fraction only where it leaves the core as a number: terms() and
-evaluate().  str() prints each coefficient from its numerator and den,
-and hash() reads the unordered stored form.
+for the constructor and the parser alike.  Every result is made by
+Poly._raw, which stores the caller's numerator dict as given unless a
+zero or a factor common to den must go.  So a dict passed to _raw is
+never written afterwards: it is one the caller built for that call, or
+the dict of another Poly.  The public constructor sums its input into a
+new dict and keeps no reference to what it was given.  A coefficient
+becomes a Fraction only where it leaves the core as a number: terms()
+and evaluate().  str() prints each coefficient from its numerator and
+den, and hash() reads the unordered stored form.
 
 expand_bivariate(p) = p(x*z + y^2, z) is written in closed form: by the
 binomial theorem c*t1^k*t2^m expands to the terms c*C(k,i)*x^i*y^(2k-2i)*
@@ -126,8 +131,14 @@ class Poly:
     def _raw(cls, names: tuple[str, ...], numerators: dict[Exponent, int], den: int) -> "Poly":
         """Internal constructor for results, numerators over a positive den:
         the exponents are known to be valid, so only zero filtering and
-        dividing out the common factor of den and the numerators remain."""
-        num = {e: c for e, c in numerators.items() if c}
+        dividing out the common factor of den and the numerators remain.
+
+        A dict with no zero numerator and no factor to divide out is stored
+        as given, not copied.  So a caller passes either a dict it built for
+        this call and does not touch again, or the _coeffs of a Poly, which
+        no code writes after construction."""
+        num = numerators if all(numerators.values()) else {
+            e: c for e, c in numerators.items() if c}
         if den != 1:
             g = math.gcd(den, *num.values())
             if g != 1:

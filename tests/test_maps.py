@@ -388,9 +388,12 @@ class TestMilnorSelfCheck:
             milnor_certificate(PHI)
 
 
-def test_components_outside_the_ring_are_refused():
+@pytest.mark.parametrize("components", [
+    (T1, Y, Z), (X, T1, Z), (X, Y, T1), (T1, T2, T1 * T2),
+], ids=["f", "g", "h", "all-in-RING2"])
+def test_components_outside_the_ring_are_refused(components):
     with pytest.raises(ValueError, match="components must live in Q\\[x,y,z\\]"):
-        PolyEndo(T1, Y, Z)
+        PolyEndo(*components)
 
 
 @pytest.mark.parametrize("build", [

@@ -505,6 +505,34 @@ def test_constructor_keeps_no_reference_to_its_input():
     assert p == expected and str(p) == "-3/4*y*z + 2*x + 1/6"
 
 
+def test_raw_stores_a_zero_free_dict_as_given():
+    """Poly._raw stores a dict with no zero numerator and nothing to divide
+    out, and leaves a dict it must change as it was."""
+    kept = {(1, 0, 0): 2, (0, 1, 1): -3}
+    assert Poly._raw(RING3, kept, 4)._coeffs is kept
+    with_zero = {(1, 0, 0): 2, (0, 1, 1): 0}
+    p = Poly._raw(RING3, with_zero, 3)
+    assert p._coeffs is not with_zero and p._coeffs == {(1, 0, 0): 2}
+    assert with_zero == {(1, 0, 0): 2, (0, 1, 1): 0}
+    common = {(1, 0, 0): 2, (0, 1, 1): -4}
+    p = Poly._raw(RING3, common, 6)
+    assert (p._coeffs, p._den) == ({(1, 0, 0): 1, (0, 1, 1): -2}, 3)
+    assert common == {(1, 0, 0): 2, (0, 1, 1): -4}
+
+
+@pytest.mark.parametrize("result, expected", [
+    (lambda: X - X, 0),
+    (lambda: Y * Z - Y * Z, 0),
+    # phi = y - 1/2*y*z: the y^2*z terms of 2*y*phi and z*phi^2 cancel in f
+    (lambda: build_nagata(Y - Fraction(1, 2) * Y * Z).endo.f,
+     X - 2 * Y ** 2 + Y ** 2 * Z ** 2 - Fraction(1, 4) * Y ** 2 * Z ** 3),
+], ids=["x-x", "yz-yz", "nagata-f"])
+def test_cancelled_terms_store_no_zero(result, expected):
+    p = result()
+    assert all(p._coeffs.values())
+    assert p == expected
+
+
 def test_arithmetic_with_denominators_builds_no_fraction(monkeypatch):
     """Arithmetic, printing and hashing run on integer numerators: of the
     operations below, only terms() constructs a Fraction."""

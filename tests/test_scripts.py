@@ -90,9 +90,10 @@ def _mutation_sample():
 def test_mutation_sample_kills_a_fixed_mutant_outside_src():
     sample = _mutation_sample()
     path = Path("src", "nagata", "lojasiewicz.py")
-    lines = (ROOT / path).read_text().splitlines()
+    source = (ROOT / path).read_text()
+    lines = source.splitlines()
     # the inverse-degree self-check, 2*deg(phi) + 1 -> 2*deg(phi) - 1
-    mutant, = [m for m in sample.sites(path) if m.operator == "+ -> -"
+    mutant, = [m for m in sample.sites(path, source) if m.operator == "+ -> -"
                and "2 * phi_degree + 1" in lines[m.line - 1]]
     # the same site written back unchanged must survive, so the kill is the mutation's
     unchanged = dataclasses.replace(mutant, text="+")
@@ -109,7 +110,7 @@ def test_mutation_sample_tells_apart_two_sites_on_one_line():
     path = Path("src", "nagata", "pde.py")
     source = (ROOT / path).read_text()
     lines = source.splitlines()
-    first, second = [m for m in sample.sites(path) if m.operator == "1 -> 2"
+    first, second = [m for m in sample.sites(path, source) if m.operator == "1 -> 2"
                      and "for b in range(d - a + 1)" in lines[m.line - 1]]
     text = lines[first.line - 1]
     column = text.index("range(d + 1)") + len("range(d + ") + 1
@@ -118,3 +119,30 @@ def test_mutation_sample_tells_apart_two_sites_on_one_line():
         + text.strip().replace("range(d + 1)", "range(d + 2)"))
     assert second.describe(source).endswith("for b in range(d - a + 2)]")
     assert second.describe(source) != first.describe(source)
+
+
+def test_mutation_sample_prints_the_source_it_sampled(tmp_path, monkeypatch, capsys):
+    """A module edited while a sample runs: each printed line still comes
+    from the source the sites were found in, not from the edited file."""
+    sample = _mutation_sample()
+    path = Path("src", "nagata", "lojasiewicz.py")
+    source = (ROOT / path).read_text()
+    module = tmp_path / path
+    module.parent.mkdir(parents=True)
+    module.write_text(source)
+    edited = '"""A docstring that moves every line down."""\n\n' + source
+    ran = []
+
+    def run(mutants, tests):
+        module.write_text(edited)
+        for mutant in mutants:
+            ran.append(mutant)
+            yield mutant, True
+
+    monkeypatch.setattr(sample, "ROOT", tmp_path)
+    monkeypatch.setattr(sample, "run", run)
+    assert sample.main(["--seed", "3", "--count", "5", "lojasiewicz"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(ran) == 5
+    assert printed[:5] == [f"killed   {m.describe(source)}" for m in ran]
+    assert [m.describe(edited) for m in ran] != [m.describe(source) for m in ran]
