@@ -155,10 +155,25 @@ def _determinant(m: tuple[tuple[Poly, ...], ...]) -> Poly:
 
 
 def pde_residual(phi: Poly) -> Poly:
-    """The polynomial -2*y*phi_x + z*phi_y, whose vanishing characterizes
-    automorphy of the associated map."""
+    """The polynomial D(phi) = -2*y*phi_x + z*phi_y, whose vanishing
+    characterizes automorphy of the associated map.
+
+    D acts on one monomial at a time, so the residual is one pass over
+    phi's numerators: n*x^a*y^b*z^c adds -2*a*n at x^(a-1)*y^(b+1)*z^c and
+    b*n at x^a*y^(b-1)*z^(c+1).  ``Poly._raw`` drops the terms that cancel
+    and reduces over phi's denominator.  ``jacobian_report`` is the
+    independent check: its cofactor determinant is 1 + this residual."""
     _require_ring3(phi)
-    return -2 * Y * phi.partial("x") + Z * phi.partial("y")
+    out: dict[tuple[int, int, int], int] = {}
+    get = out.get
+    for (a, b, c), n in phi._coeffs.items():
+        if a:
+            e = (a - 1, b + 1, c)
+            out[e] = get(e, 0) - 2 * a * n
+        if b:
+            e = (a, b - 1, c + 1)
+            out[e] = get(e, 0) + b * n
+    return Poly._raw(RING3, out, phi._den)
 
 
 def jacobian_report(phi: Poly) -> JacobianReport:

@@ -64,7 +64,7 @@ def solution_basis(d: int) -> tuple[Poly, ...]:
     k1 descending, for 0 <= d <= DEGREE_BOUND."""
     _check_degree(d)
     return tuple(
-        expand_bivariate(Poly(RING2, {(k1, d - 2 * k1): 1}))
+        expand_bivariate(Poly._raw(RING2, {(k1, d - 2 * k1): 1}, 1))
         for k1 in range(d // 2, -1, -1)
     )
 

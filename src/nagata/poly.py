@@ -37,7 +37,11 @@ z^(i+m), 0 <= i <= k, and since the exponent (i, 2k-2i, i+m) determines
 
 The canonical term order is applied only where order is observed:
 terms() and str() sort the terms on each call; nothing is cached, so a
-Poly is never written after construction.
+Poly is never written after construction.  Printing is a third of an
+analyze call, so str() unrolls x, y, z as __mul__ does: it sorts plain
+tuples (-degree, c, b, a) and writes each monomial by branches on its
+nonzero exponents, with no per-call table.  Other rings print through
+_term_key and _monomial_text.
 
 Canonical term order: graded reverse-lexicographic, printed highest
 first (total degree descending; within a degree x before y before z and
@@ -407,21 +411,41 @@ class Poly:
     # -- printing -----------------------------------------------------------
 
     def __str__(self) -> str:
+        """Canonical text.  For x, y, z the terms sort as plain tuples
+        (-degree, c, b, a) and each monomial is built by branches on its
+        nonzero exponents, with the names read from ``self.vars``; other
+        rings print through ``_term_key`` and ``_monomial_text``."""
         if not self._coeffs:
             return "0"
         den = self._den
+        if len(self.vars) == 3:
+            vx, vy, vz = self.vars
+            ordered = []
+            for _, c, b, a, num in sorted([(-(a + b + c), c, b, a, num)
+                                           for (a, b, c), num in self._coeffs.items()]):
+                mono = "" if not a else vx if a == 1 else f"{vx}^{a}"
+                if b:
+                    v = vy if b == 1 else f"{vy}^{b}"
+                    mono = f"{mono}*{v}" if mono else v
+                if c:
+                    v = vz if c == 1 else f"{vz}^{c}"
+                    mono = f"{mono}*{v}" if mono else v
+                ordered.append((num, mono))
+        else:
+            ordered = [(num, _monomial_text(self.vars, exp) if any(exp) else "")
+                       for exp, num in sorted(self._coeffs.items(), key=_term_key)]
         chunks: list[str] = []
-        for exp, num in sorted(self._coeffs.items(), key=_term_key):
+        for num, mono in ordered:
             # each coefficient num/den in lowest terms, printed as Fraction does
             mag = abs(num)
             g = math.gcd(mag, den)
             text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
-            if not any(exp):
+            if not mono:
                 body = text
             elif text == "1":
-                body = _monomial_text(self.vars, exp)
+                body = mono
             else:
-                body = text + "*" + _monomial_text(self.vars, exp)
+                body = text + "*" + mono
             if not chunks:
                 chunks.append(f"-{body}" if num < 0 else body)
             else:

@@ -1,4 +1,7 @@
-"""Shared hypothesis strategies for small exact polynomials."""
+"""Shared hypothesis strategies for small exact polynomials, and the
+check that a value is stored in its reduced form."""
+
+import math
 
 import hypothesis.strategies as st
 
@@ -23,3 +26,12 @@ poly2s = polys(RING2)
 nonzero_poly2s = poly2s.filter(lambda p: not p.is_zero())
 nonzero_poly3s = poly3s.filter(lambda p: not p.is_zero())
 points3 = st.tuples(rationals, rationals, rationals)
+
+
+def is_stored_reduced(p):
+    """Integer numerators, none zero, over a denominator >= 1 that shares
+    no factor with all of them."""
+    numerators = p._coeffs.values()
+    return (type(p._den) is int and p._den >= 1
+            and all(type(c) is int and c for c in numerators)
+            and math.gcd(p._den, *numerators) == 1)

@@ -1,5 +1,9 @@
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +18,16 @@ from nagata import (
     X,
     Y,
     Z,
+    build_nagata,
+    compose,
     deformation_compare,
+    expand_bivariate,
+    inverse_nagata,
     loj_exponent,
+    parse_poly2,
     random_poly2,
 )
+from nagata.cli import run
 from nagata.lojasiewicz import LojReport, _loj_report
 from _strategies import nonzero_poly2s
 
@@ -103,3 +113,79 @@ class TestSelfChecks:
         monkeypatch.setattr(nagata.lojasiewicz, "loj_exponent", reports.__getitem__)
         with pytest.raises(RuntimeError, match="monotonicity violated; arithmetic bug"):
             deformation_compare(T1, T1 + T2)
+
+
+T = Poly.variable(("t",), "t")
+
+
+def _top_form_non_root(inverse, degree):
+    """A point v of {0..degree}^3, smallest max coordinate first, at which
+    the degree-``degree`` form of some component of ``inverse`` is nonzero.
+    A nonzero form of that degree has one there (Alon, Combinatorial
+    Nullstellensatz, 1999), so the search is bounded."""
+    forms = [c.leading_form() for c in inverse if c.total_degree() == degree]
+    for m in range(degree + 1):
+        for v in itertools.product(range(m + 1), repeat=3):
+            if max(v) == m and any(form.evaluate(*v) for form in forms):
+                return v
+    raise AssertionError(f"no point of {{0..{degree}}}^3 off the top forms")
+
+
+def _certified_exponent(p):
+    """1/D for the map of phi = p(x*z + y^2, z), from the definition.
+
+    Both compositions are expanded on plain copies, which carry no phi, so
+    no group law stands in for substitution.  F^-1(F(x)) = x gives
+    |F(x)| >= c*|x|^(1/D) for large |x|.  On the curve gamma(t) =
+    F^-1(t*v), F(gamma(t)) = t*v while gamma has degree D in t, since the
+    degree-D form of some component of F^-1 is nonzero at v; so no larger
+    exponent holds.  None of this uses D = 2*deg(phi) + 1."""
+    phi = expand_bivariate(p)
+    forward = PolyEndo(*build_nagata(phi).endo)
+    inverse = PolyEndo(*inverse_nagata(p))
+    assert forward.phi is None and inverse.phi is None
+    assert compose(forward, inverse) == PolyEndo.identity()
+    assert compose(inverse, forward) == PolyEndo.identity()
+    degree = max(c.total_degree() for c in inverse)
+    v = _top_form_non_root(inverse, degree)
+    line = [a * T for a in v]
+    gamma = [c.substitute(*line) for c in inverse]
+    assert max(g.total_degree() for g in gamma if g) == degree
+    assert [c.substitute(*gamma) for c in forward] == line
+    return Fraction(1, degree)
+
+
+def _golden_loj_rows():
+    golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+    return [e for e in golden
+            if e["argv"][0] == "loj" and "--json" in e["argv"] and e["code"] == 0]
+
+
+class TestCertificate:
+    """The exponent 1/deg F^-1 checked against a certificate built from its
+    definition, not from the inverse-degree formula."""
+
+    @pytest.mark.parametrize("p", [T1, Poly.zero(RING2), Poly.constant(RING2, 7), EXWW,
+                                   T1 ** 3 - Fraction(2, 3) * T2, T1 * T2 ** 4])
+    def test_fixed_cases(self, p):
+        assert _certified_exponent(p) == loj_exponent(p).exponent
+
+    @pytest.mark.parametrize("entry", _golden_loj_rows(), ids=lambda e: " ".join(e["argv"]))
+    def test_golden_loj_rows(self, capsys, entry):
+        # the row is the pinned one, and each exponent it prints is certified
+        assert run(list(entry["argv"])) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout"]
+        doc = json.loads(out)
+        texts = entry["argv"][1:-1]
+        reports = [doc] if len(texts) == 1 else [doc["base"], doc["deformed"]]
+        for text, report in zip(texts, reports):
+            assert Fraction(report["exponent"]) == _certified_exponent(parse_poly2(text))
+
+    def test_seeded_random_maps(self):
+        # dvmax <= 4 keeps both expanded compositions small: one of degree 9
+        # in x, y, z takes milliseconds, where dvmax 6 took seconds
+        rng = random.Random(12)
+        for _ in range(40):
+            p = random_poly2(rng, rng.randint(0, 4))
+            assert _certified_exponent(p) == loj_exponent(p).exponent

@@ -28,7 +28,7 @@ from nagata import (
     random_poly2,
     random_poly3,
 )
-from _strategies import poly2s, poly3s, polys
+from _strategies import is_stored_reduced, poly2s, poly3s, polys
 from nagata import RING2
 
 PHI = X * Z + Y ** 2
@@ -142,6 +142,41 @@ class TestResidual:
     @given(poly2s)
     def test_expansions_solve_the_equation(self, p):
         assert pde_residual(expand_bivariate(p)) == 0
+
+    @staticmethod
+    def _reference(phi):
+        return -2 * Y * phi.partial("x") + Z * phi.partial("y")
+
+    @given(polys(RING3, max_exp=12, max_terms=8))
+    def test_one_pass_matches_the_partials(self, phi):
+        r = pde_residual(phi)
+        assert r == self._reference(phi)
+        assert is_stored_reduced(r)
+
+    @pytest.mark.parametrize("phi", [
+        PHI,
+        Fraction(1, 2) * PHI,
+        PHI ** 3 - Fraction(5, 7) * Z ** 4 * PHI,
+    ])
+    def test_all_terms_cancel(self, phi):
+        # -2*y*z from x*z meets +2*y*z from y^2, and the sum is stored as 0/1
+        r = pde_residual(phi)
+        assert r.is_zero() and r._coeffs == {} and r._den == 1
+
+    @pytest.mark.parametrize("phi, expected", [
+        # y^2 over 2: the one numerator 2 shares 2 with the denominator
+        (Fraction(1, 2) * Y ** 2, Y * Z),
+        # x over 2: -2 over 2
+        (Fraction(1, 2) * X, -Y),
+        # x*z and y^2 cancel, and the 9*y^2*z left reduces from 9/6 to 3/2
+        (Fraction(1, 6) * PHI + Fraction(1, 2) * Y ** 3, Fraction(3, 2) * Y ** 2 * Z),
+        # -2*y^3 + 2*x*y*z over 4
+        (Fraction(1, 4) * X * Y ** 2, Fraction(-1, 2) * Y ** 3 + Fraction(1, 2) * X * Y * Z),
+    ])
+    def test_denominator_is_reduced(self, phi, expected):
+        r = pde_residual(phi)
+        assert r == expected == self._reference(phi)
+        assert r._den == expected._den and is_stored_reduced(r)
 
 
 class TestAutomorphy:

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -21,11 +20,17 @@ from nagata import (
     expand_bivariate,
 )
 from nagata.poly import _monomial_text
-from _strategies import nonzero_poly2s, points3, poly2s, poly3s, rationals, term_lists
+from _strategies import (
+    is_stored_reduced, nonzero_poly2s, points3, poly2s, poly3s, rationals, term_lists)
 
 PHI = X * Z + Y ** 2
 EXWW = T1 ** 2 - T2 ** 3 + T1 * T2 ** 2
 MONOMIAL = Fraction(-3, 2) * X * Y ** 2
+# a three-variable ring with other names, printed by the unrolled path
+UVW = ("u", "v", "w")
+WIDE_EXPONENTS = st.sampled_from([0, 1, 2, 9, 10, 99, 10 ** 12])
+UNIT_OR_RATIONAL = st.one_of(
+    st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 3)]), rationals.filter(bool))
 
 
 class TestArithmetic:
@@ -223,7 +228,7 @@ class TestExpandBivariate:
     def test_closed_form_matches_substitution(self, p):
         phi = expand_bivariate(p)
         assert phi == self._reference(p)
-        assert _is_stored_reduced(phi)
+        assert is_stored_reduced(phi)
 
     @pytest.mark.parametrize("p", [
         T1 ** 40 * T2 ** 3 + Fraction(1, 3) * T1 ** 39,
@@ -237,7 +242,7 @@ class TestExpandBivariate:
     def test_closed_form_fixed_cases(self, p):
         phi = expand_bivariate(p)
         assert phi == self._reference(p)
-        assert _is_stored_reduced(phi)
+        assert is_stored_reduced(phi)
 
     @given(nonzero_poly2s)
     def test_degree_equals_weighted_degree(self, p):
@@ -282,15 +287,6 @@ def _results(p, q):
 def _bivariate_results(p, q):
     return [p + q, p - q, p * q, p ** 2, p.partial("t1"), expand_bivariate(p),
             p.substitute(q, T2 + 1)]
-
-
-def _is_stored_reduced(p):
-    """Integer numerators, none zero, over a denominator >= 1 that shares
-    no factor with all of them."""
-    numerators = p._coeffs.values()
-    return (type(p._den) is int and p._den >= 1
-            and all(type(c) is int and c for c in numerators)
-            and math.gcd(p._den, *numerators) == 1)
 
 
 def _value(p):
@@ -351,15 +347,35 @@ class TestRepresentation:
         # stored as 3*x + 2*y over 6: each term reduces by a different gcd
         (Fraction(1, 2) * X + Fraction(1, 3) * Y, "1/2*x + 1/3*y"),
         (-Fraction(3, 2) * X * Z ** 2 + 1, "-3/2*x*z^2 + 1"),
+        # a coefficient +-1 and a constant over a denominator > 1
+        (Fraction(-1, 2) * X, "-1/2*x"),
+        (Poly.constant(RING3, Fraction(1, 3)), "1/3"),
+        (X + Fraction(1, 2), "x + 1/2"),
+        (-Y * Z + Fraction(1, 3) * X, "-y*z + 1/3*x"),
+        (Poly(RING3, {(10 ** 12, 0, 0): -1}), "-x^1000000000000"),
+        (Poly(RING3, {(0, 99, 10): Fraction(1, 2), (9, 1, 0): 1}),
+         "1/2*y^99*z^10 + x^9*y"),
+        (Poly(UVW, {(1, 0, 2): -1, (0, 2, 0): Fraction(1, 2), (0, 0, 0): 3}),
+         "-u*w^2 + 1/2*v^2 + 3"),
+        (Poly(UVW, {(0, 1, 0): 1, (1, 0, 0): -1, (0, 0, 1): 1}), "-u + v + w"),
+        (Poly(RING2, {(10, 99): Fraction(-1, 7), (0, 0): 1}), "-1/7*t1^10*t2^99 + 1"),
     ])
     def test_edge_cases_print_like_the_reference(self, p, text):
         assert str(p) == _reference_str(p) == text
+
+    @given(st.sampled_from([RING3, UVW, RING2]), st.data())
+    def test_wide_exponents_print_like_the_reference(self, ring, data):
+        exponents = st.tuples(*[WIDE_EXPONENTS] * len(ring))
+        terms = data.draw(st.lists(st.tuples(exponents, UNIT_OR_RATIONAL), max_size=6))
+        p = Poly(ring, terms)
+        assert str(p) == _reference_str(p)
+        assert str(-p) == _reference_str(-p)
 
     @given(poly3s, poly3s)
     def test_values_are_stored_reduced(self, p, q):
         constants = [Poly.constant(RING3, c) for c in (0, -3, Fraction(6, 4), Fraction(-1, 3))]
         for r in [p, q, *constants, *_results(p, q)]:
-            assert _is_stored_reduced(r)
+            assert is_stored_reduced(r)
 
     @given(term_lists(RING3, max_terms=8), st.randoms(use_true_random=False))
     def test_constructor_orders_shuffled_terms(self, terms, rng):
