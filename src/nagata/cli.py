@@ -26,7 +26,7 @@ import sys
 
 from .classify import Classification, Verdict, classify
 from .lojasiewicz import _loj_report, deformation_compare, loj_exponent
-from .maps import PolyEndo, build_nagata, compose, decompose, inverse_nagata
+from .maps import PolyEndo, compose, decompose, inverse_nagata
 from .parse import ParseError, _Parser, parse_poly2, parse_poly3
 from .pde import DEGREE_BOUND, _spans_agree, kernel_oracle, solution_basis
 from .poly import Poly, RING3, _monomial_text, expand_bivariate
@@ -108,7 +108,7 @@ def _analysis_payload(phi: Poly) -> tuple[int, dict, list[str]]:
         f"automorphism: {'yes' if is_auto else 'no'}",
     ]
     if is_auto:
-        inverse = build_nagata(-phi).endo
+        inverse = inverse_nagata(verdict.representative)
         loj = _loj_report(phi, inverse)
         payload["inverse"] = _endo_payload(inverse)
         payload["lojasiewicz_exponent"] = str(loj.exponent)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .maps import PolyEndo, build_nagata
-from .poly import Poly, RING2, _monomial_text, expand_bivariate
+from .maps import PolyEndo, inverse_nagata
+from .poly import Poly, RING2, _monomial_text
 
 
 class LojReport(NamedTuple):
@@ -37,13 +37,13 @@ class DeformationReport(NamedTuple):
 def loj_exponent(p: Poly) -> LojReport:
     """Exponent 1/deg(inverse) of the automorphism built from
     phi = p(x*z + y^2, z), with the inverse degree measured, not assumed."""
-    phi = expand_bivariate(p)
-    return _loj_report(phi, build_nagata(-phi).endo)
+    inverse = inverse_nagata(p)
+    return _loj_report(inverse.phi, inverse)
 
 
 def _loj_report(phi: Poly, inverse: PolyEndo) -> LojReport:
-    """The report for phi = p(x*z + y^2, z) and the inverse of its map,
-    both already built by the caller."""
+    """The report for phi = p(x*z + y^2, z), or -phi, which has the same
+    degree, and the inverse of its map, both already built by the caller."""
     inverse_degree = max(component.total_degree() for component in inverse)
     phi_degree = 0 if phi.is_zero() else phi.total_degree()
     if inverse_degree != 2 * phi_degree + 1:

@@ -10,11 +10,14 @@ It is the identity for phi = 0 and the classical Nagata automorphism for
 phi = x*z + y^2.  The map is an automorphism exactly when the residual
 -2*y*phi_x + z*phi_y vanishes, equivalently when phi = p(x*z + y^2, z)
 for a bivariate p; in that case the inverse is the map of -phi.  The
-formula is written once, in ``build_nagata``, and the inverse, the
-Jacobian report and the Milnor certificate are all built through it.  A
-map is the named triple ``PolyEndo(f, g, h)``; one from ``build_nagata``
-also keeps its phi, so that ``compose`` can add phis instead of
-substituting the expanded components.  The reports are named tuples.
+formula is written in ``build_nagata``, and the Jacobian report and the
+Milnor certificate are built through it.  The inverse from p is written
+in closed form in ``inverse_nagata``, which squares p, not phi; a test
+in tests/test_maps.py pins it against ``build_nagata`` of -phi.  A map
+is the named triple ``PolyEndo(f, g, h)``; one from ``build_nagata`` or
+``inverse_nagata`` also keeps its phi, so that ``compose`` can add phis
+instead of substituting the expanded components.  The reports are named
+tuples.
 
 Every map of the family fixes z and satisfies z*f + g^2 = x*z + y^2 (the
 2*y*z*phi and z^2*phi^2 terms cancel), so it leaves every a = p(x*z +
@@ -32,6 +35,7 @@ polynomial.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -47,8 +51,9 @@ class _Components(NamedTuple):
 class PolyEndo(_Components):
     """An endomorphism of Q[x,y,z]: the triple (f, g, h) of the images of
     x, y, z, each in Q[x,y,z].  ``phi`` is not a constructor argument: only
-    ``build_nagata`` sets it, for ``compose``, which trusts it.  Equality,
-    hashing and repr are the tuple's and ignore it; ``_replace`` drops it."""
+    ``build_nagata`` and ``inverse_nagata`` set it, for ``compose``, which
+    trusts it.  Equality, hashing and repr are the tuple's and ignore it;
+    ``_replace`` drops it."""
 
     phi: Poly | None = None
 
@@ -210,22 +215,58 @@ def decompose(phi: Poly) -> Poly | None:
 
 def inverse_nagata(p: Poly) -> PolyEndo:
     """Explicit inverse of the map built from phi = p(x*z + y^2, z): the
-    map built from -phi, that is (x + 2*y*phi - z*phi^2, y - z*phi, z)."""
-    return build_nagata(-expand_bivariate(p)).endo
+    map built from -phi, that is (x + 2*y*phi - z*phi^2, y - z*phi, z).
+
+    It is written in closed form from p.  Since phi^2 = p^2(x*z + y^2, z),
+    only p is squared: a symmetric square of its k terms in (t1, t2),
+    about k^2/2 pairs, where squaring phi's n >= k terms takes n^2/2.
+    The binomial theorem then expands each term of p^2 on its own, as in
+    ``expand_bivariate``.  With -phi = num/den, f and g are written
+    straight over den^2 and den, and no two terms of f meet: the y*phi
+    terms have odd y-exponents, the z*phi^2 terms even ones and a z, and
+    x has no y and no z.  So only a coefficient of p^2 that cancels gives
+    a zero, which ``Poly._raw`` drops.  The result keeps -phi, so that
+    ``compose`` applies the group law to it.
+    """
+    neg = -expand_bivariate(p)
+    num, den = neg._coeffs, neg._den
+    square: dict[tuple[int, int], int] = {}
+    get = square.get
+    items = list(p._coeffs.items())
+    for j, ((k1, m1), c1) in enumerate(items):
+        e = (2 * k1, 2 * m1)
+        square[e] = get(e, 0) + c1 * c1
+        for (k2, m2), c2 in items[j + 1:]:
+            e = (k1 + k2, m1 + m2)
+            square[e] = get(e, 0) + 2 * c1 * c2
+    comb = math.comb
+    f = {(i, 2 * (k - i), i + m + 1): -s * comb(k, i)
+         for (k, m), s in square.items() for i in range(k + 1)}
+    for (a, b, c), n in num.items():
+        f[(a, b + 1, c)] = -2 * den * n
+    f[(1, 0, 0)] = den * den
+    g = {(a, b, c + 1): n for (a, b, c), n in num.items()}
+    g[(0, 1, 0)] = den
+    endo = PolyEndo(Poly._raw(RING3, f, den * den), Poly._raw(RING3, g, den), Z)
+    object.__setattr__(endo, "phi", neg)
+    return endo
 
 
 def compose(outer: PolyEndo, inner: PolyEndo) -> PolyEndo:
     """Componentwise substitution of inner into outer, fully expanded.
 
-    When both maps come from ``build_nagata`` and outer's phi = a has a
-    representative, the result is the map of a + b, where b is inner's
-    phi (the group law in the module docstring).  That holds for any b,
-    since every map of the family leaves a = p(x*z + y^2, z) unchanged,
-    and no component is substituted.  Every other pair, an outer phi
-    with no representative included, is substituted componentwise.  Only
-    the first path's result carries a phi.
+    When both maps carry a phi and outer's phi = a has a representative,
+    the result is the map of a + b, where b is inner's phi (the group law
+    in the module docstring).  That holds for any b, since every map of
+    the family leaves a = p(x*z + y^2, z) unchanged, and no component is
+    substituted.  a has a representative exactly when D(a) = 0, so the
+    one-pass ``pde_residual`` decides it; ``classify`` relies on the same
+    equivalence.  Every other pair, an outer phi with no representative
+    included, is substituted componentwise.  Only the first path's result
+    carries a phi.
     """
-    if inner.phi is not None and outer.phi is not None and decompose(outer.phi) is not None:
+    if (inner.phi is not None and outer.phi is not None
+            and pde_residual(outer.phi).is_zero()):
         return build_nagata(outer.phi + inner.phi).endo
     return PolyEndo(*(component.substitute(*inner) for component in outer))
 

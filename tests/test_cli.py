@@ -458,6 +458,26 @@ class TestEachPolynomialPrintedOnce:
         assert compose(endo, inverse) == PolyEndo.identity()
         assert compose(inverse, endo) == PolyEndo.identity()
 
+    @pytest.mark.parametrize("phi", [WILD_PHI, TAME_PHI, "x*z + y^2 + z^3"],
+                             ids=["wild", "tame", "unknown"])
+    def test_analyze_builds_the_inverse_without_squaring_phi(self, capsys, monkeypatch, phi):
+        # the inverse comes from the representative; build_nagata(-phi)
+        # would square phi, and only the tame factors may build phi's map
+        built = []
+        original = build_nagata
+
+        def recording(value):
+            built.append(value)
+            return original(value)
+
+        for name in ("cli", "classify", "lojasiewicz", "maps"):
+            module = importlib.import_module("nagata." + name)
+            if hasattr(module, "build_nagata"):
+                monkeypatch.setattr(module, "build_nagata", recording)
+        assert run(["analyze", phi, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["inverse"] is not None
+        assert built == ([parse_poly3(phi)] if phi == TAME_PHI else [])
+
     def test_oracle_json_builds_no_kernel_polynomials(self, capsys, monkeypatch):
         def refuse(self):
             raise AssertionError("polynomials() built for --json")

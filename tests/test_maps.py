@@ -248,6 +248,52 @@ class TestInverseAndCompose:
         assert compose(_plain(inverse), _plain(endo)) == IDENTITY
 
 
+class TestInverseClosedForm:
+    """inverse_nagata(p) writes the map of -phi from p; it equals
+    build_nagata(-phi), component by component and in its phi."""
+
+    @staticmethod
+    def _assert_matches_build(p):
+        inverse = inverse_nagata(p)
+        expected = build_nagata(-expand_bivariate(p)).endo
+        for built, want in zip(inverse, expected):
+            assert built == want
+            assert is_stored_reduced(built)
+            assert built._coeffs == want._coeffs and built._den == want._den
+        assert inverse.phi == expected.phi
+        return inverse
+
+    @pytest.mark.parametrize("p", [
+        Poly.zero(RING2),
+        Fraction(1, 2) * T2 ** 3 - T2,
+        Fraction(1, 3) * T1 ** 3 * T2 - Fraction(3, 4) * T1 + Fraction(2, 5),
+    ], ids=["zero", "t2-only", "rational"])
+    def test_fixed_cases(self, p):
+        self._assert_matches_build(p)
+
+    def test_a_cancelled_coefficient_of_the_square_leaves_no_term(self):
+        # (t1^2 + 2*t1*t2 - 2*t2^2)^2 has no t1^2*t2^2: 2*1*(-2) + 2^2 = 0
+        p = T1 ** 2 + 2 * T1 * T2 - 2 * T2 ** 2
+        assert (2, 2) not in (p * p).support()
+        f = self._assert_matches_build(p).f
+        # z*phi^2 would put t1^2*t2^2 at x^i*y^(4-2i)*z^(i+3)
+        assert not {(0, 4, 3), (1, 2, 4), (2, 0, 5)} & f.support()
+
+    @given(poly2s)
+    def test_random_p(self, p):
+        self._assert_matches_build(p)
+
+    @given(polys(RING2, max_exp=6, max_terms=8))
+    @settings(max_examples=25)
+    def test_random_larger_p(self, p):
+        self._assert_matches_build(p)
+
+    @pytest.mark.parametrize("p", [X, Poly.zero(RING3)], ids=["x", "zero-in-xyz"])
+    def test_p_outside_t1_t2_is_refused(self, p):
+        with pytest.raises(ValueError, match="expects a polynomial in t1, t2"):
+            inverse_nagata(p)
+
+
 def _plain(endo):
     """The same three components without phi, so compose takes the
     generic substitution."""
@@ -340,6 +386,20 @@ class TestGroupLaw:
         assert calls == []
         spoiled = build_nagata(X * Y - Z).endo
         assert compose(endo, spoiled).phi == endo.phi + X * Y - Z
+
+    def test_group_law_never_decomposes(self, monkeypatch):
+        # the outer phi is tested by its residual, not by decompose
+        def refuse(phi):
+            raise AssertionError("decompose called by compose")
+
+        monkeypatch.setattr(nagata.maps, "decompose", refuse)
+        p = T1 ** 3 * T2 - Fraction(2, 3) * T1 ** 2 + T2 ** 2
+        endo = build_nagata(expand_bivariate(p)).endo
+        inverse = inverse_nagata(p)
+        spoiled = build_nagata(X * Y - Z).endo
+        assert compose(endo, inverse) == compose(inverse, endo) == IDENTITY
+        assert compose(endo, spoiled).phi == endo.phi + X * Y - Z
+        assert compose(spoiled, endo).phi is None
 
     @given(poly2s, poly3s)
     @settings(max_examples=25)
