@@ -13,6 +13,12 @@ a ``random --dvmax`` above ``DVMAX_BOUND``; 3 on an internal error (any
 other exception, such as a failed self-check or ``MemoryError``), reported
 as one ``internal error:`` line on stderr.  A closed stdout does not
 change the exit code.
+
+``run`` reads argv with the named command's own parser, and with the
+whole parser only when arguments are left over or argv names no command,
+so help, usage errors and their exit codes are argparse's as before.
+``--json`` documents are written by a private writer that gives the bytes
+of ``json.dumps(document, indent=2)`` with one join per list or dict.
 """
 
 from __future__ import annotations
@@ -309,12 +315,64 @@ def _build_parser() -> argparse.ArgumentParser:
     for s in sub.choices.values():
         s.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON on stdout")
+    # the command parsers by name, for run's direct dispatch
+    parser.commands = sub.choices
     return parser
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of a payload value, nested at the
+    depth whose line break and indentation ``indent`` is.
+
+    Each list and dict is one join; a list of strings is quoted by one
+    ``map``.  Only str, None, bool, int, list and dict are written (keys
+    str); anything else, a float or a tuple included, raises TypeError.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + _json_text(item, inner) for key, item in value.items()]
+        ) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        separator = "," + inner
+        try:
+            items = separator.join(map(_quote, value))
+        except TypeError:  # an item is not a string
+            items = separator.join([_json_text(item, inner) for item in value])
+        return "[" + inner + items + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def run(argv=None) -> int:
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _build_parser().parse_args(argv)
+        # the command parser is the one the whole parser hands the rest of
+        # argv to, so it gives the same namespace and errors; what it leaves
+        # over, the whole parser reports with its own usage
+        if command is not None:
+            args, extras = command.parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        if command is None or extras:
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has already printed the message
         # it exits only through ArgumentParser.exit: 0 for -h, 2 on a usage error
         return exc.code
@@ -332,7 +390,7 @@ def run(argv=None) -> int:
     try:
         if args.json:
             document = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
-            print(json.dumps(document, indent=2))
+            print(_json_text(document))
         else:
             for line in lines:
                 print(line)

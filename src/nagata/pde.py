@@ -74,16 +74,20 @@ def _strip_content(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _echelon(rows: Iterable[dict[int, int]],
+             pivots: dict[int, dict[int, int]] | None = None) -> dict[int, dict[int, int]]:
     """Fraction-free echelon form of sparse integer rows (no zero
     entries), keyed by pivot column.
 
     Each row is reduced at its leading column against the pivot row found
     there (integer cross-multiplication, then content stripping) until its
     leading column is new.  The pivot columns are those not in the span of
-    the columns before them, as in column-by-column elimination.
+    the columns before them, as in column-by-column elimination.  Given
+    ``pivots``, an echelon form from an earlier call, the rows extend it in
+    place, as if they had followed that call's rows.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    if pivots is None:
+        pivots = {}
     for row in rows:
         while row:
             lead = min(row)
@@ -173,9 +177,10 @@ def _spans_agree(oracle: KernelOracleResult, basis: tuple[Poly, ...]) -> bool:
     index = {m: i for i, m in enumerate(oracle.monomials)}
     a_rows = [{index[m]: c for m, c in p._coeffs.items()} for p in basis]
     b_rows = [{c: x for c, x in enumerate(vec) if x} for vec in oracle.kernel_basis]
-    rank_a = len(_echelon(a_rows))
+    pivots = _echelon(a_rows)
+    rank_a = len(pivots)
     rank_b = len(_echelon(b_rows))
-    rank_ab = len(_echelon(a_rows + b_rows))
+    rank_ab = len(_echelon(b_rows, pivots))
     return rank_a == rank_b == rank_ab
 
 

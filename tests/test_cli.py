@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from nagata import (
     DEGREE_BOUND,
@@ -394,8 +396,11 @@ class TestOneParserPerProcess:
         (["oracle", "x"], 2),
         (["--help"], 0),
         (["analyze", "-h"], 0),
+        (["analyze", "x", "y"], 2),
+        (["analyze", "-y^2"], 2),
+        (["loj", "t1", "--json", "t2"], 2),
     ], ids=["no-subcommand", "unknown-subcommand", "oracle", "oracle-x", "help",
-            "analyze-h"])
+            "analyze-h", "unrecognized", "leading-minus", "loj-optional-positional"])
     def test_argparse_exits_repeat_and_match_a_fresh_parser(self, capsys, argv, expected):
         first = invoke(capsys, *argv)
         second = invoke(capsys, *argv)
@@ -406,6 +411,78 @@ class TestOneParserPerProcess:
         assert first == second == fresh
         assert first[0] == expected
         assert first[1 if expected == 0 else 2].startswith("usage: nagata")
+
+    # "oracle -1" parses (argparse reads -1 as a number) and is refused by
+    # the package; "--dvmax=5" and the prefix "--js" are argparse's own forms
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "-1"],
+        ["random", "--dvmax=5"],
+        ["analyze", "x", "--js"],
+        ["analyze", "--", "-y^2"],
+        ["analyze", "--json", "x"],
+        ["loj", "t1"],
+        ["loj", "t1", "t2", "--json"],
+        ["random", "--seed", "3", "--json", "--dvmax", "4"],
+        ["compose", "x, y, z", "x, y, z"],
+    ])
+    def test_accepted_argv_gives_a_fresh_parsers_namespace(self, monkeypatch, argv):
+        seen = []
+
+        def handler(args):
+            seen.append(args)
+            return 0, {}, []
+
+        monkeypatch.setattr(cli, f"_cmd_{argv[0]}", handler)
+        assert run(argv) == 0
+        assert seen == [cli._build_parser.__wrapped__().parse_args(argv)]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 400, 2 ** 400)
+    | st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF)),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """--json documents are written by cli._json_text, which must give the
+    bytes of json.dumps(document, indent=2)."""
+
+    @given(json_values)
+    @example(["a", {"b": 1}, "c"])
+    @example([{"b": []}, "a"])
+    @example(["a", ["b", {}], [], {}])
+    @example({"é\x00\n\u2028\ud800": "\x1f\"\\", "": [True, 1, False, 0, -(2 ** 300)]})
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    def test_a_list_of_strings_is_quoted_in_one_pass(self, monkeypatch):
+        calls = []
+        original = cli._json_text
+
+        def counted(value, *indent):
+            calls.append(value)
+            return original(value, *indent)
+
+        monkeypatch.setattr(cli, "_json_text", counted)
+        value = {"a": ["x", "y", "z"], "b": [["u", "v"]]}
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+        # the dict, its two lists and the inner list; no string on its own
+        assert calls == [value, value["a"], value["b"], value["b"][0]]
+
+    def test_oracle_30_bytes(self, capsys):
+        assert run(["oracle", "30", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        1.5, (1,), {"a": 0.0}, ["a", 1.0], ["a", ("b",)], {"a": {1}}, {1: "a"},
+    ])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 WILD_PHI = "3/2*x^2*z^2 + 3*x*y^2*z + 3/2*y^4 + z"

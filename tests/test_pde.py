@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from nagata import (
     verify_basis_against_oracle,
 )
 from nagata.cli import run
-from nagata.pde import _echelon, _kernel_vector
+from nagata.pde import _echelon, _kernel_vector, _spans_agree
 from _strategies import poly3s
 
 PHI = X * Z + Y ** 2
@@ -231,6 +232,64 @@ class TestSpanEquality:
     def test_degree_three_span(self):
         assert solution_basis(3) == (Z * PHI, Z ** 3)
         assert verify_basis_against_oracle(3)
+
+
+def _with_vectors(oracle, vectors):
+    return oracle._replace(dimension=len(vectors), kernel_basis=tuple(vectors))
+
+
+def _bump_last(vector):
+    """vector + e_(x^d); x^d is the last monomial and, for d >= 1, no
+    solution holds it, so the result leaves the kernel."""
+    return (*vector[:-1], vector[-1] + 1)
+
+
+class TestSpanMismatch:
+    """_spans_agree, and with it `oracle`, fails when the oracle's kernel
+    differs from the closed-form span in any way."""
+
+    @pytest.mark.parametrize("d", [2, 4, 9])
+    def test_dropped_vector(self, d):
+        oracle = kernel_oracle(d)
+        for i in range(oracle.dimension):
+            vectors = oracle.kernel_basis[:i] + oracle.kernel_basis[i + 1:]
+            assert not _spans_agree(_with_vectors(oracle, vectors), solution_basis(d))
+
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    def test_perturbed_vector(self, d):
+        oracle = kernel_oracle(d)
+        for i, vector in enumerate(oracle.kernel_basis):
+            vectors = list(oracle.kernel_basis)
+            vectors[i] = _bump_last(vector)
+            assert not _spans_agree(_with_vectors(oracle, vectors), solution_basis(d))
+
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    def test_appended_independent_row(self, d):
+        oracle = kernel_oracle(d)
+        extra = _bump_last((0,) * len(oracle.monomials))
+        vectors = (*oracle.kernel_basis, extra)
+        assert not _spans_agree(_with_vectors(oracle, vectors), solution_basis(d))
+
+    def test_echelon_continues_from_earlier_pivots(self):
+        oracle = kernel_oracle(6)
+        index = {m: i for i, m in enumerate(oracle.monomials)}
+        a_rows = [{index[m]: c for m, c in p._coeffs.items()} for p in solution_basis(6)]
+        b_rows = [{c: x for c, x in enumerate(vec) if x} for vec in oracle.kernel_basis]
+        b_rows.append({index[(6, 0, 0)]: 1, 0: 3})
+        assert _echelon(b_rows, _echelon(a_rows)) == _echelon(a_rows + b_rows)
+
+    def test_oracle_exits_1_on_a_wrong_vector(self, capsys, monkeypatch):
+        import nagata.cli
+
+        def wrong(d):
+            oracle = kernel_oracle(d)
+            return _with_vectors(oracle, (_bump_last(oracle.kernel_basis[0]),
+                                          *oracle.kernel_basis[1:]))
+
+        monkeypatch.setattr(nagata.cli, "kernel_oracle", wrong)
+        assert run(["oracle", "4", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verified"] is False and doc["dimension"] == 3
 
 
 class TestKernelVector:
