@@ -22,7 +22,10 @@ degree of more than 1000 digits is a ParseError at the operator.  A sum
 of terms joined by "+" and "-" is held to the same 2^4096: its common
 denominator is checked as each term joins and its numerators once it is
 summed, so the ParseError is at the "+" or "-" of the term whose
-denominator crosses the bound, or else at the sum's last one.
+denominator crosses the bound, or else at the sum's last one.  The
+estimates are _power_bounds and _product_bounds, which return (degree,
+bits, terms) bounds and raise nothing; one check, _check, turns any
+estimate over a limit, the sums' included, into the ParseError.
 Positions in error messages are 1-based character offsets; end-of-input
 is reported at the last character of the text.  The canonical printed
 form of a polynomial is ``str(poly)``, which always re-parses.
@@ -134,7 +137,8 @@ def _tokenize(text: str, offset: int) -> list[_Token]:
     return tokens
 
 
-# Limits on the estimated result of one "^" or "*", with coefficient sizes
+# Limits on the estimated result of one "^" or "*", as _power_bounds and
+# _product_bounds estimate it and _check refuses it, with coefficient sizes
 # in bits (ceil(log2) of the numerator or denominator).  The largest
 # operations in the tests, the golden corpus and re-parsed `random --dvmax
 # 20` output have at most 4 terms and 3319 bits (a numeral at the digit cap
@@ -159,74 +163,65 @@ def _shape(p: Poly) -> tuple[int, int, int, Exponent]:
     return len(numerators), top, p._den, tuple(map(max, zip(*numerators)))
 
 
-def _check_degree(tok: _Token, degree: int) -> None:
-    if degree > _MAX_DEGREE:
-        raise ParseError(f"'{tok.kind}' may give a degree of more than {_MAX_DIGITS} "
-                         "digits", tok.position)
-
-
-def _check_bits(tok: _Token, bits: int) -> None:
-    if bits > _MAX_BITS:
-        raise ParseError(f"'{tok.kind}' may give a coefficient above 2^{_MAX_BITS}",
-                         tok.position)
-
-
 def _sum_bits(p: Poly) -> int:
-    """The bits of p's largest numerator, as _check_bits counts them."""
+    """The bits of p's largest numerator, as _check counts them."""
     return (max(map(abs, p._coeffs.values()), default=1) - 1).bit_length()
 
 
-def _check_size(tok: _Token, terms: int, bits: int) -> None:
-    if terms > _MAX_TERMS:
-        raise ParseError(f"'{tok.kind}' may give more than {_MAX_TERMS} terms",
-                         tok.position)
-    if terms * bits > _MAX_SIZE:
-        raise ParseError(f"'{tok.kind}' may give more than {_MAX_SIZE} coefficient "
-                         "bits in all", tok.position)
-
-
-def _check_power(tok: _Token, base: Poly, n: int) -> None:
-    """Refuse a nonzero base**n whose estimated size is over a limit.
+def _power_bounds(base: Poly, n: int) -> tuple[int, int, int]:
+    """(degree, bits, terms) bounds of a nonzero base**n.
 
     Its coefficients have numerators at most (k*top)^n and denominators at
     most den^n.  Its terms are at most the multisets of n base terms, the
     monomials up to degree n*deg(base), and the box of per-variable degrees.
-    A monomial base, or n <= 1, gives at most k terms, which is no growth.
+    terms is 0, no estimate, for a monomial base or n <= 1, which give at
+    most k terms, and for bits over the limit, which _check refuses first:
+    the multiset count is costly for a huge n.
     """
     k, top, den, degrees = _shape(base)
     degree = n * base.total_degree()
-    _check_degree(tok, degree)
     bits = n * (max(k * top, den) - 1).bit_length()
-    # bits first: the multiset count is costly for a huge n
-    _check_bits(tok, bits)
-    if k > 1 and n > 1:
-        nv = len(base.vars)
-        _check_size(tok, min(math.comb(n + k - 1, k - 1),
-                             math.comb(degree + nv, nv),
-                             math.prod(n * d + 1 for d in degrees)), bits)
+    if k == 1 or n <= 1 or bits > _MAX_BITS:
+        return degree, bits, 0
+    nv = len(base.vars)
+    return degree, bits, min(math.comb(n + k - 1, k - 1), math.comb(degree + nv, nv),
+                             math.prod(n * d + 1 for d in degrees))
 
 
-def _check_product(tok: _Token, a: Poly, b: Poly) -> None:
-    """Refuse a nonzero a*b whose estimated size is over a limit.
+def _product_bounds(a: Poly, b: Poly) -> tuple[int, int, int]:
+    """(degree, bits, terms) bounds of a*b for nonzero a and b.
 
     Its coefficients have numerators at most min(ka, kb)*top_a*top_b and
     denominators at most den_a*den_b.  Its terms are at most the ka*kb
     pairs, the monomials up to degree deg(a) + deg(b), and the box of
-    per-variable degree sums.  A monomial factor gives as many terms as the
-    other factor, which is no growth.
+    per-variable degree sums.  terms is 0 when a factor is a monomial,
+    which gives as many terms as the other factor.
     """
     ka, top_a, den_a, degrees_a = _shape(a)
     kb, top_b, den_b, degrees_b = _shape(b)
     degree = a.total_degree() + b.total_degree()
-    _check_degree(tok, degree)
     bits = (max(min(ka, kb) * top_a * top_b, den_a * den_b) - 1).bit_length()
-    _check_bits(tok, bits)
-    if ka > 1 and kb > 1:
-        nv = len(a.vars)
-        _check_size(tok, min(ka * kb,
-                             math.comb(degree + nv, nv),
-                             math.prod(da + db + 1 for da, db in zip(degrees_a, degrees_b))),
-                    bits)
+    if ka == 1 or kb == 1:
+        return degree, bits, 0
+    nv = len(a.vars)
+    return degree, bits, min(ka * kb, math.comb(degree + nv, nv),
+                             math.prod(da + db + 1 for da, db in zip(degrees_a, degrees_b)))
+
+
+def _check(tok: _Token, degree: int, bits: int, terms: int = 0) -> None:
+    """Refuse at tok a result whose bounds are over a limit, checked in the
+    order degree, bits, terms, terms times bits; 0 terms checks none."""
+    if degree > _MAX_DEGREE:
+        limit = f"a degree of more than {_MAX_DIGITS} digits"
+    elif bits > _MAX_BITS:
+        limit = f"a coefficient above 2^{_MAX_BITS}"
+    elif terms > _MAX_TERMS:
+        limit = f"more than {_MAX_TERMS} terms"
+    elif terms * bits > _MAX_SIZE:
+        limit = f"more than {_MAX_SIZE} coefficient bits in all"
+    else:
+        return
+    raise ParseError(f"'{tok.kind}' may give {limit}", tok.position)
 
 
 _BASE_STARTS = frozenset({"number", "variable", "'('"})
@@ -318,12 +313,12 @@ class _Parser:
             value = self.term()
             # checked per term, so a refused sum stops at the crossing term
             den = math.lcm(den, value._den)
-            _check_bits(tok, (den - 1).bit_length())
+            _check(tok, 0, (den - 1).bit_length())
             terms += [(e, sign * c, value._den) for e, c in value._coeffs.items()]
         # cancelled terms go, so that (x - x)^n is 0 and (x + 1 - 1) a monomial
         value = _sum(self.names, terms)
         if tok:
-            _check_bits(tok, _sum_bits(value))
+            _check(tok, 0, _sum_bits(value))
         return value
 
     def term(self) -> Poly:
@@ -333,7 +328,7 @@ class _Parser:
             rhs = self.factor()
             # a zero factor needs no estimate, and has no term to estimate from
             if value and rhs:
-                _check_product(tok, value, rhs)
+                _check(tok, *_product_bounds(value, rhs))
             value = value * rhs
         return value
 
@@ -352,7 +347,7 @@ class _Parser:
             n = int(self.advance().text)
             # a zero base skips Poly.__pow__'s loop, one pass per bit of n
             if value:
-                _check_power(tok, value, n)
+                _check(tok, *_power_bounds(value, n))
                 value = value ** n
             elif not n:
                 value = Poly.constant(self.names, 1)  # 0^0 is 1 too

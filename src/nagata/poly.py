@@ -118,7 +118,7 @@ class Poly:
     # denominator, >= 1, with gcd(_den, *numerators) == 1
     __slots__ = ("vars", "_coeffs", "_den")
 
-    def __init__(self, vars: Sequence[str], terms=()):  # noqa: A002 - domain term
+    def __new__(cls, vars: Sequence[str], terms=()) -> "Poly":  # noqa: A002 - domain term
         names = tuple(vars)
         items = terms.items() if isinstance(terms, Mapping) else terms
         triples: list[tuple[Exponent, int, int]] = []
@@ -128,8 +128,11 @@ class Poly:
                 raise ValueError(f"bad exponent {exp!r} for variables {names!r}")
             c = _as_coeff(coeff)
             triples.append((exp, c.numerator, c.denominator))
-        value = _sum(names, triples)
-        self.vars, self._coeffs, self._den = names, value._coeffs, value._den
+        return _sum(names, triples)
+
+    def __reduce__(self):
+        # copy and pickle would call __new__ bare; _raw takes the stored form
+        return Poly._raw, (self.vars, self._coeffs, self._den)
 
     @classmethod
     def _raw(cls, names: tuple[str, ...], numerators: dict[Exponent, int], den: int) -> "Poly":
@@ -148,7 +151,7 @@ class Poly:
             if g != 1:
                 num = {e: c // g for e, c in num.items()}
                 den //= g
-        poly = cls.__new__(cls)
+        poly = object.__new__(cls)
         poly.vars = names
         poly._coeffs = num
         poly._den = den

@@ -6,7 +6,8 @@ through its public constructors, so it does not depend on how ``Poly``
 stores its coefficients.
 
 Every value here is a ``Poly``, and every "*" and "^" runs the size
-estimate of ``nagata.parse`` and then ``Poly`` arithmetic.  The package's
+estimate of ``nagata.parse`` (``_check`` of ``_product_bounds`` or
+``_power_bounds``) and then ``Poly`` arithmetic.  The package's
 parser splits text into tokens with one regular expression, collects
 the terms of each sum in one dict and reads canonical text in one pass
 without tokens; both must give the same polynomial or the same
@@ -22,8 +23,9 @@ from nagata.parse import (
     _MAX_NESTING,
     ParseError,
     UnknownIdentifierError,
-    _check_power,
-    _check_product,
+    _check,
+    _power_bounds,
+    _product_bounds,
 )
 from nagata.poly import Poly
 
@@ -119,7 +121,7 @@ class _Parser:
             tok = self.advance()
             rhs = self.factor()
             if value and rhs:
-                _check_product(tok, value, rhs)
+                _check(tok, *_product_bounds(value, rhs))
             value = value * rhs
         return value
 
@@ -137,7 +139,7 @@ class _Parser:
                 raise self.fail(frozenset({"number"}))
             n = int(self.advance().text)
             if value:
-                _check_power(tok, value, n)
+                _check(tok, *_power_bounds(value, n))
             value = value ** n
         return -value if negate else value
 

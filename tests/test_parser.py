@@ -23,8 +23,8 @@ from nagata import (
     parse_poly3,
 )
 from nagata import parse
-from nagata.parse import _Parser
-from _strategies import poly2s, poly3s
+from nagata.parse import _Parser, _power_bounds, _product_bounds
+from _strategies import nonzero_poly2s, nonzero_poly3s, poly2s, poly3s
 
 PHI = X * Z + Y ** 2
 
@@ -152,7 +152,9 @@ class TestErrors:
             assert isinstance(result, Poly)
 
 
-# texts refused by a size limit, with the position of the operator
+# texts refused by a size limit, with the position of the operator; a
+# text over two limits is refused on the first of degree, bits, terms and
+# terms times bits
 OVER_THE_BIT_LIMIT = [
     ("9^9999999", 2),
     ("9^5000", 2),
@@ -164,6 +166,8 @@ OVER_THE_BIT_LIMIT = [
     ("2^4096*2", 7),
     ("(2^4096*x)*(y+2)", 11),
     ("9" * 1000 + "*" + "9" * 1000, 1001),
+    # 1681 terms of up to 4133 bits: over the term and size limits too
+    ("(x+1)^40*(2^4090*y + (y+1)^40)", 9),
 ]
 OVER_THE_TERM_LIMIT = [
     ("(x+y+z+1)^17", 10),
@@ -172,6 +176,8 @@ OVER_THE_TERM_LIMIT = [
     ("(x+1)^40*(y+1)^40", 9),
     ("(x+y+z)^9*(x+y+z)^9", 10),
     ("(x^5 + y^7 + z^3 + 1)^17", 22),
+    # 1681 terms of up to 293 bits: over the size limit too
+    ("(x+1)^40*(2^250*y + (y+1)^40)", 9),
 ]
 OVER_THE_SIZE_LIMIT = [
     ("(x+1)^512", 6),
@@ -183,6 +189,7 @@ OVER_THE_DEGREE_LIMIT = [
     ("(x^" + "9" * 999 + ")^" + "9" * 999, 1004),
     ("x^" + "9" * 1000 + "*x", 1003),
     ("(y*z)^" + "5" * 1000, 6),
+    ("(2*x^2)^" + "9" * 1000, 8),
 ]
 HUGE = "9" * 1000
 # texts at the size limits, or unlimited because a factor is a monomial or 0
@@ -227,7 +234,8 @@ class TestSizeLimits:
         assert info.value.position == position
 
     @pytest.mark.parametrize("text, position", OVER_THE_DEGREE_LIMIT,
-                             ids=["power-of-power", "product", "two-variables"])
+                             ids=["power-of-power", "product", "two-variables",
+                                  "over-the-bit-limit-too"])
     def test_degree_over_the_limit_rejected(self, text, position):
         # a degree prints as a numeral; more than 4300 digits would not print
         with pytest.raises(ParseError, match="degree of more than 1000 digits") as info:
@@ -284,6 +292,46 @@ class TestSizeLimits:
         except ParseError:
             return
         assert isinstance(result, Poly)
+
+
+def _assert_within(value, bounds, operand_terms):
+    """The actual value against (degree, bits, terms) bounds; 0 terms
+    bounds the count by the larger operand's."""
+    degree, bits, terms = bounds
+    numerators = value._coeffs
+    assert value.total_degree() <= degree
+    assert (max(max(map(abs, numerators.values())), value._den) - 1).bit_length() <= bits
+    assert len(numerators) <= (terms or operand_terms)
+
+
+nonzero_pairs = st.one_of(st.tuples(nonzero_poly2s, nonzero_poly2s),
+                          st.tuples(nonzero_poly3s, nonzero_poly3s))
+
+
+@given(nonzero_pairs, st.integers(0, 6))
+@settings(deadline=None)
+def test_size_bounds_hold_for_products_and_powers(pair, n):
+    # the reference parser calls the same bound functions, so an
+    # under-estimate would pass TestAgainstReference; this checks them
+    # against Poly arithmetic
+    a, b = pair
+    _assert_within(a * b, _product_bounds(a, b), max(len(a._coeffs), len(b._coeffs)))
+    _assert_within(a ** n, _power_bounds(a, n), len(a._coeffs))
+
+
+def test_power_is_refused_on_bits_before_its_terms_are_counted():
+    # 1000 distinct monomials of degree at most 17, to the power 10^980:
+    # the degree is within its limit and the bits are not, and counting
+    # the multisets of 10^980 of the 1000 base terms, C(10^980 + 999, 999),
+    # alone took 0.70 s of CPU on a 2-core VM
+    monomials = [f"x^{a}*y^{b}*z^{c}" for a in range(18) for b in range(18 - a)
+                 for c in range(18 - a - b)][:1000]
+    text = "(" + " + ".join(monomials) + ")^1" + "0" * 980
+    start = time.process_time()
+    with pytest.raises(ParseError, match=r"'\^' may give a coefficient above 2\^4096") as info:
+        parse_poly3(text)
+    assert time.process_time() - start < 0.3
+    assert info.value.position == len(text) - 981
 
 
 def test_long_sum_parses_in_one_pass():

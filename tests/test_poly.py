@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -519,6 +521,13 @@ def test_constructor_keeps_no_reference_to_its_input():
     assert p == expected
     d.clear()
     assert p == expected and str(p) == "-3/4*y*z + 2*x + 1/6"
+
+
+def test_copy_and_pickle_give_an_equal_value():
+    # the constructor is __new__, which copy and pickle cannot call bare
+    p = Fraction(1, 6) * X ** 2 - 3 * Y * Z
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(q) is Poly and q == p and q._den == 6 and str(q) == str(p)
 
 
 def test_raw_stores_a_zero_free_dict_as_given():
