@@ -13,7 +13,10 @@ Two independent routes to the degree-d solution space:
   kernel: D = -2*y*d/dx + z*d/dy lowers the weight 2a + b of
   x^a*y^b*z^c by exactly 1, so the columns of one weight share rows only
   with each other.  Cost and memory grow with the block sizes, not with
-  the square of the number of monomials.
+  the square of the number of monomials.  Every elimination step on
+  these blocks meets a pivot row of one entry, which ``_echelon`` applies
+  by deleting an entry, with no multiplication; a row's content is
+  divided out once, when it becomes a pivot row.
 
 ``verify_basis_against_oracle`` checks that the two spans agree.  Both
 routes refuse degrees above ``DEGREE_BOUND``, so that no degree runs
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from itertools import compress
 from typing import NamedTuple
 
 from .poly import Exponent, Poly, RING2, RING3, expand_bivariate
@@ -47,7 +51,7 @@ class KernelOracleResult(NamedTuple):
 
     def polynomials(self) -> list[Poly]:
         return [
-            Poly(RING3, {m: c for m, c in zip(self.monomials, vector) if c})
+            Poly._raw(RING3, {m: c for m, c in zip(self.monomials, vector) if c}, 1)
             for vector in self.kernel_basis
         ]
 
@@ -69,9 +73,10 @@ def solution_basis(d: int) -> tuple[Poly, ...]:
     )
 
 
-def _strip_content(row: dict[int, int]) -> dict[int, int]:
-    g = math.gcd(*row.values())
-    return {c: v // g for c, v in row.items()} if g > 1 else row
+def _strip_content(row: dict[int, int], sign: int) -> dict[int, int]:
+    """sign * row divided by the gcd of its entries."""
+    g = math.gcd(*row.values()) * sign
+    return {c: v // g for c, v in row.items()} if g != 1 else row
 
 
 def _echelon(rows: Iterable[dict[int, int]],
@@ -80,26 +85,50 @@ def _echelon(rows: Iterable[dict[int, int]],
     entries), keyed by pivot column.
 
     Each row is reduced at its leading column against the pivot row found
-    there (integer cross-multiplication, then content stripping) until its
-    leading column is new.  The pivot columns are those not in the span of
+    there until its leading column is new, and is then stored as the pivot
+    row of that column.  The pivot columns are those not in the span of
     the columns before them, as in column-by-column elimination.  Given
     ``pivots``, an echelon form from an earlier call, the rows extend it in
-    place, as if they had followed that call's rows.
+    place, as if they had followed that call's rows.  No input row is
+    changed.
+
+    A step against a pivot row of two or more entries cross-multiplies
+    (p * row - v * pivot row, for the leading entries p and v) and divides
+    the result by the gcd of its entries.  One-entry rule: against a pivot
+    row {lead: p}, that gives the row without its leading entry, times the
+    sign of p, divided by its content; so the step only deletes the entry
+    and notes the sign, and multiplies nothing.  Strip at insertion: the
+    content such steps leave in the row is divided out, and the noted sign
+    applied, once, when the row becomes a pivot row; a row of one entry
+    becomes that entry's sign.  So every pivot row, its entries and signs
+    included, is the one that cross-multiplying and stripping after each
+    step gives, and no entry grows larger than there.  Every step that the
+    residual map's blocks make meets a pivot row of one entry.
     """
     if pivots is None:
         pivots = {}
     for row in rows:
+        sign = 1  # the row reduced so far is sign * row, up to a positive factor
         while row:
             lead = min(row)
             pivot_row = pivots.get(lead)
             if pivot_row is None:
-                pivots[lead] = _strip_content(row)
+                pivots[lead] = (_strip_content(row, sign) if len(row) > 1
+                                else {lead: sign if row[lead] > 0 else -sign})
                 break
-            p, v = pivot_row[lead], row[lead]
+            p = pivot_row[lead]
+            if len(pivot_row) == 1:
+                row = row.copy()
+                del row[lead]
+                if p < 0:
+                    sign = -sign
+                continue
+            v = row[lead]
             combined = {c: p * x for c, x in row.items()}
             for c, x in pivot_row.items():
                 combined[c] = combined.get(c, 0) - v * x
-            row = _strip_content({c: x for c, x in combined.items() if x})
+            row = _strip_content({c: x for c, x in combined.items() if x}, sign)
+            sign = 1
     return pivots
 
 
@@ -131,39 +160,38 @@ def kernel_oracle(d: int) -> KernelOracleResult:
     The residual map over the (d+1)(d+2)/2 monomials of degree d is
     graded by the weight w = 2a + b of x^a*y^b*z^c: column x^a*y^b*z^c
     has its entries, at most two, in rows x^(a-1)*y^(b+1)*z^c and
-    x^a*y^(b-1)*z^(c+1), both of weight w - 1.  So each weight gives one block of sparse rows,
-    built straight from the monomials; it is connected, since the columns
-    a and a + 1 of one weight share a row.  Each block is eliminated
-    fraction-free on its own and its kernel vectors are found by
-    back-substitution inside the block, so cost and memory grow with the
-    block sizes rather than with the square of the number of monomials.
+    x^a*y^(b-1)*z^(c+1), both of weight w - 1.  So each weight gives one
+    block of sparse rows, built straight from the monomials; it is
+    connected, since the columns a and a + 1 of one weight share a row.
+    Each block is eliminated fraction-free on its own and its kernel
+    vectors are found by back-substitution inside the block, so cost and
+    memory grow with the block sizes rather than with the square of the
+    number of monomials.
     Kernel vectors are listed by ascending free column.  ``d`` is at most
     ``DEGREE_BOUND``.
     """
     _check_degree(d)
     # exponents (a, b, c) with a + b + c = d, ascending lexicographically
     monomials = [(a, b, d - a - b) for a in range(d + 1) for b in range(d - a + 1)]
-    blocks: dict[int, tuple[list[int], dict[Exponent, dict[int, int]]]] = {}
-    for j, (a, b, c) in enumerate(monomials):
-        columns, rows = blocks.setdefault(2 * a + b, ([], {}))
-        columns.append(j)
+    # one block of rows per weight w = 2a + b, 0 to 2d; its rows have weight
+    # w - 1 and degree d - 1, so each is keyed by its x-exponent
+    blocks: list[dict[int, dict[int, int]]] = [{} for _ in range(2 * d + 1)]
+    for j, (a, b, _) in enumerate(monomials):
+        rows = blocks[2 * a + b]
         if a:
-            rows.setdefault((a - 1, b + 1, c), {})[j] = -2 * a
+            rows.setdefault(a - 1, {})[j] = -2 * a
         if b:
-            rows.setdefault((a, b - 1, c + 1), {})[j] = b
-    sparse: list[tuple[int, dict[int, int]]] = []
-    for columns, rows in blocks.values():
-        pivots = _echelon(rows.values())
-        sparse.extend(
-            (j, _kernel_vector(j, pivots)) for j in columns if j not in pivots
-        )
-    sparse.sort(key=lambda item: item[0])
+            # the row's other column, x^(a+1)*y^(b-2)*z^(c+1), comes later
+            rows[a] = {j: b}
+    pivots = [_echelon(rows.values()) for rows in blocks]
     vectors = []
-    for _, v in sparse:
-        dense = [0] * len(monomials)
-        for c, x in v.items():
-            dense[c] = x
-        vectors.append(tuple(dense))
+    for j, (a, b, _) in enumerate(monomials):
+        block_pivots = pivots[2 * a + b]
+        if j not in block_pivots:
+            dense = [0] * len(monomials)
+            for c, x in _kernel_vector(j, block_pivots).items():
+                dense[c] = x
+            vectors.append(tuple(dense))
     return KernelOracleResult(
         dimension=len(vectors),
         monomials=tuple(monomials),
@@ -176,7 +204,9 @@ def _spans_agree(oracle: KernelOracleResult, basis: tuple[Poly, ...]) -> bool:
     subspace over Q (checked by exact rank computations)."""
     index = {m: i for i, m in enumerate(oracle.monomials)}
     a_rows = [{index[m]: c for m, c in p._coeffs.items()} for p in basis]
-    b_rows = [{c: x for c, x in enumerate(vec) if x} for vec in oracle.kernel_basis]
+    # each vector's nonzero entries by index, picked out at C level
+    b_rows = [dict(zip(compress(range(len(vec)), vec), filter(None, vec)))
+              for vec in oracle.kernel_basis]
     pivots = _echelon(a_rows)
     rank_a = len(pivots)
     rank_b = len(_echelon(b_rows))

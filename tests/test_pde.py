@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,11 @@ from nagata import (
     solution_basis,
     verify_basis_against_oracle,
 )
-from nagata.cli import run
+from nagata import pde
+from nagata.cli import _monomial_texts, run
 from nagata.pde import _echelon, _kernel_vector, _spans_agree
+from nagata.poly import _monomial_text
+import _reference_echelon
 from _strategies import poly3s
 
 PHI = X * Z + Y ** 2
@@ -140,6 +144,14 @@ class TestKernelOracle:
         assert result.dimension == 21
         assert all(pde_residual(p) == 0 for p in result.polynomials())
 
+    def test_polynomials_equal_the_public_constructor(self):
+        for d in (*range(13), 40):
+            oracle = kernel_oracle(d)
+            assert oracle.polynomials() == [
+                Poly(RING3, {m: c for m, c in zip(oracle.monomials, vector) if c})
+                for vector in oracle.kernel_basis
+            ]
+
 
 def _monomials(d):
     """Exponents (a, b, c) with a + b + c = d, ascending lexicographically:
@@ -182,20 +194,49 @@ def dense_kernel_oracle(d):
     return KernelOracleResult(len(vectors), tuple(monomials), tuple(vectors))
 
 
+def _dense_oracle_json(d):
+    """`nagata oracle d --json` as json.dumps writes it, from the dense
+    elimination and the printer's own monomial text."""
+    oracle = dense_kernel_oracle(d)
+    return json.dumps({
+        "schema": 1,
+        "command": "oracle",
+        "degree": d,
+        "dimension": oracle.dimension,
+        "monomials": [_monomial_text(RING3, m) for m in oracle.monomials],
+        "kernel_basis": [[str(x) for x in vector] for vector in oracle.kernel_basis],
+        "verified": True,
+    }, indent=2) + "\n"
+
+
 class TestKernelOracleReference:
     def test_equals_dense_elimination(self):
         for d in (*range(13), 16):
             assert kernel_oracle(d) == dense_kernel_oracle(d)
 
-    # sha256 of `nagata oracle d --json` as printed by the dense elimination
+    # sha256 of `nagata oracle d --json` as printed by the dense elimination;
+    # for d = 40, of _dense_oracle_json(40), too slow to build here (about
+    # 20 s of CPU on a 2-core VM)
     @pytest.mark.parametrize("d, digest", [
         (0, "64dfe2dcaa51db389502e23b39936e51ff1ece65cb6869ec1e536928a9124f1c"),
         (5, "c8a0afc0c672fef57417430759b53f4b02e5ea20cb8be96a160490268ccb0a3e"),
         (12, "31839a041a52e808cd98d7470a2732ba3098e02039632f914578dfc948fb4502"),
+        (40, "7e1eff079a8554df9f432853319bcc26b42905c3fe2ce13618a03eb9c6f918e0"),
     ])
     def test_cli_json_golden(self, capsys, d, digest):
         assert run(["oracle", str(d), "--json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("d", [*range(13), 16])
+    def test_cli_json_equals_the_dense_document(self, capsys, d):
+        assert run(["oracle", str(d), "--json"]) == 0
+        assert capsys.readouterr().out == _dense_oracle_json(d)
+
+    def test_monomial_table_writer(self):
+        for d in range(DEGREE_BOUND + 1):
+            monomials = tuple(_monomials(d))
+            assert _monomial_texts(monomials, d) == [
+                _monomial_text(RING3, m) for m in monomials]
 
     def test_span_equals_sympy_nullspace(self):
         sympy = pytest.importorskip("sympy")
@@ -328,3 +369,81 @@ class TestEchelon:
     ])
     def test_generic_rows(self, rows, expected):
         assert _echelon(rows) == expected
+
+
+def _random_rows(rng, count, width):
+    """Sparse integer rows over columns 0 to width - 1: about a third have
+    one entry, so later rows meet one-entry pivot rows of either sign, and
+    some share a factor, so that stripping their content changes them."""
+    rows = []
+    for _ in range(count):
+        size = 1 if rng.random() < 1 / 3 else rng.randint(1, width)
+        factor = rng.choice([1, 1, 2, 3, 6])
+        rows.append({c: factor * rng.choice([-1, 1]) * rng.randint(1, 5)
+                     for c in rng.sample(range(width), size)})
+    return rows
+
+
+def _copies(rows):
+    return [dict(row) for row in rows]
+
+
+class TestEchelonAgainstReference:
+    """_echelon gives the pivot rows, entries and signs included, of the
+    reference, which cross-multiplies and strips the content at every step,
+    and it changes no input row."""
+
+    def test_random_rows(self):
+        for seed in range(400):
+            rng = random.Random(seed)
+            rows = _random_rows(rng, rng.randint(1, 10), rng.randint(1, 8))
+            given_rows = _copies(rows)
+            assert _echelon(rows) == _reference_echelon.echelon(_copies(rows)), seed
+            assert rows == given_rows, seed
+
+    def test_random_rows_after_earlier_pivots(self):
+        for seed in range(400):
+            rng = random.Random(seed)
+            width = rng.randint(1, 8)
+            first = _random_rows(rng, rng.randint(1, 6), width)
+            rows = _random_rows(rng, rng.randint(1, 6), width)
+            given_rows = _copies(rows)
+            expected = _reference_echelon.echelon(
+                _copies(rows), _reference_echelon.echelon(_copies(first)))
+            assert _echelon(rows, _echelon(first)) == expected, seed
+            assert rows == given_rows, seed
+
+    def test_random_rows_take_both_paths(self):
+        steps = []
+        for seed in range(400):
+            rng = random.Random(seed)
+            _reference_echelon.echelon(
+                _random_rows(rng, rng.randint(1, 10), rng.randint(1, 8)), steps=steps)
+        assert steps.count(1) > 1000 and len(steps) - steps.count(1) > 1000
+
+    def test_oracle_blocks_and_span_checks(self, monkeypatch):
+        """Every call of kernel_oracle(d) and of _spans_agree for d <= 40;
+        each step in the oracle's blocks meets a one-entry pivot row, and
+        the span checks take both paths."""
+        echelon = pde._echelon
+        oracle_steps, span_steps = [], []
+        steps = oracle_steps  # the list that checked appends to
+
+        def checked(rows, pivots=None):
+            rows = list(rows)
+            given_rows = _copies(rows)
+            earlier = None if pivots is None else {c: dict(r) for c, r in pivots.items()}
+            expected = _reference_echelon.echelon(_copies(rows), earlier, steps)
+            result = echelon(rows, pivots)
+            assert result == expected
+            assert rows == given_rows
+            return result
+
+        monkeypatch.setattr(pde, "_echelon", checked)
+        for d in range(41):
+            steps = oracle_steps
+            oracle = kernel_oracle(d)
+            steps = span_steps
+            assert _spans_agree(oracle, solution_basis(d))
+        assert set(oracle_steps) == {1}
+        assert 1 in span_steps and max(span_steps) > 1
