@@ -35,7 +35,7 @@ from .lojasiewicz import _loj_report, deformation_compare, loj_exponent
 from .maps import PolyEndo, compose, decompose, inverse_nagata
 from .parse import ParseError, _Parser, parse_poly2, parse_poly3
 from .pde import DEGREE_BOUND, _spans_agree, kernel_oracle, solution_basis
-from .poly import Exponent, Poly, RING3, expand_bivariate
+from .poly import Poly, RING3, _monomial_texts, expand_bivariate
 from .randgen import random_poly2
 
 SCHEMA_VERSION = 1
@@ -176,15 +176,6 @@ def _cmd_basis(args) -> tuple[int, dict, list[str]]:
     return 0, {"degree": args.degree, "elements": elements}, elements
 
 
-def _monomial_texts(monomials: tuple[Exponent, ...], degree: int) -> list[str]:
-    """``_monomial_text(RING3, m)`` of each exponent m, whose entries are at
-    most ``degree``, from one table of power texts per variable."""
-    # each nonempty text ends in "*", and the last one is cut off
-    x, y, z = ([""] + [f"{v}*"] + [f"{v}^{k}*" for k in range(2, degree + 1)]
-               for v in RING3)
-    return [(x[a] + y[b] + z[c])[:-1] or "1" for a, b, c in monomials]
-
-
 def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
     result = kernel_oracle(args.degree)
     verified = _spans_agree(result, solution_basis(args.degree))
@@ -195,7 +186,7 @@ def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
         return code, {
             "degree": args.degree,
             "dimension": result.dimension,
-            "monomials": _monomial_texts(result.monomials, args.degree),
+            "monomials": _monomial_texts(RING3, result.monomials, args.degree),
             "kernel_basis": [list(map(str, vec)) for vec in result.kernel_basis],
             "verified": verified,
         }, []

@@ -16,7 +16,8 @@ Two independent routes to the degree-d solution space:
   the square of the number of monomials.  Every elimination step on
   these blocks meets a pivot row of one entry, which ``_echelon`` applies
   by deleting an entry, with no multiplication; a row's content is
-  divided out once, when it becomes a pivot row.
+  divided out only before a step that multiplies and when it becomes a
+  pivot row.
 
 ``verify_basis_against_oracle`` checks that the two spans agree.  Both
 routes refuse degrees above ``DEGREE_BOUND``, so that no degree runs
@@ -92,18 +93,21 @@ def _echelon(rows: Iterable[dict[int, int]],
     place, as if they had followed that call's rows.  No input row is
     changed.
 
-    A step against a pivot row of two or more entries cross-multiplies
-    (p * row - v * pivot row, for the leading entries p and v) and divides
-    the result by the gcd of its entries.  One-entry rule: against a pivot
-    row {lead: p}, that gives the row without its leading entry, times the
-    sign of p, divided by its content; so the step only deletes the entry
-    and notes the sign, and multiplies nothing.  Strip at insertion: the
-    content such steps leave in the row is divided out, and the noted sign
-    applied, once, when the row becomes a pivot row; a row of one entry
-    becomes that entry's sign.  So every pivot row, its entries and signs
-    included, is the one that cross-multiplying and stripping after each
-    step gives, and no entry grows larger than there.  Every step that the
-    residual map's blocks make meets a pivot row of one entry.
+    A step against a pivot row of two or more entries first divides the
+    row by the gcd of its entries, then cross-multiplies (p * row - v *
+    pivot row, for the leading entries p and v).  One-entry rule: against
+    a pivot row {lead: p}, cross-multiplying and dividing out the content
+    gives the row without its leading entry, times the sign of p, divided
+    by its content; so the step only deletes the entry and notes the sign,
+    and multiplies nothing.  The noted sign is applied, and the content
+    such steps leave divided out, when the row is next stripped: before a
+    step that multiplies, or when it becomes a pivot row (strip at
+    insertion).  So every pivot row, its
+    entries and signs included, is the one that cross-multiplying and
+    stripping after each step gives, each multiplication reads a row no
+    larger than that elimination's, and a deletion makes no new entry.
+    Every step that the residual map's blocks make meets a pivot row of
+    one entry.
     """
     if pivots is None:
         pivots = {}
@@ -113,8 +117,7 @@ def _echelon(rows: Iterable[dict[int, int]],
             lead = min(row)
             pivot_row = pivots.get(lead)
             if pivot_row is None:
-                pivots[lead] = (_strip_content(row, sign) if len(row) > 1
-                                else {lead: sign if row[lead] > 0 else -sign})
+                pivots[lead] = _strip_content(row, sign)
                 break
             p = pivot_row[lead]
             if len(pivot_row) == 1:
@@ -123,12 +126,13 @@ def _echelon(rows: Iterable[dict[int, int]],
                 if p < 0:
                     sign = -sign
                 continue
+            row = _strip_content(row, sign)
+            sign = 1
             v = row[lead]
             combined = {c: p * x for c, x in row.items()}
             for c, x in pivot_row.items():
                 combined[c] = combined.get(c, 0) - v * x
-            row = _strip_content({c: x for c, x in combined.items() if x}, sign)
-            sign = 1
+            row = {c: x for c, x in combined.items() if x}
     return pivots
 
 

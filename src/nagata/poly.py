@@ -41,7 +41,9 @@ Poly is never written after construction.  Printing is a third of an
 analyze call, so str() unrolls x, y, z as __mul__ does: it sorts plain
 tuples (-degree, c, b, a) and writes each monomial by branches on its
 nonzero exponents, with no per-call table.  Other rings print through
-_term_key and _monomial_text.
+_term_key and _monomial_text; _monomial_texts writes a list of monomials
+of three variables, as the oracle's --json prints them, from one table
+of power texts per variable.
 
 Canonical term order: graded reverse-lexicographic, printed highest
 first (total degree descending; within a degree x before y before z and
@@ -91,6 +93,17 @@ def _monomial_text(names: Sequence[str], exp: Exponent) -> str:
     """The monomial of exp as printed: "x^2*y" for (2, 1, 0) in x, y, z,
     and "1" for the zero exponent."""
     return "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(names, exp) if e]) or "1"
+
+
+def _monomial_texts(names: Sequence[str], exps: Sequence[Exponent],
+                    bound: int) -> list[str]:
+    """``_monomial_text(names, e)`` of each exponent e in a ring of three
+    variables, e's entries at most ``bound``, from one table of power
+    texts per variable."""
+    # each nonempty text ends in "*", and the last one is cut off
+    x, y, z = ([""] + [f"{v}*"] + [f"{v}^{k}*" for k in range(2, bound + 1)]
+               for v in names)
+    return [(x[a] + y[b] + z[c])[:-1] or "1" for a, b, c in exps]
 
 
 def _sum(names: tuple[str, ...], terms: Sequence[tuple[Exponent, int, int]]) -> "Poly":

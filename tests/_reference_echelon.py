@@ -13,13 +13,17 @@ def _strip_content(row):
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def echelon(rows, pivots=None, steps=None):
+def echelon(rows, pivots=None, steps=None, sizes=None):
     """The echelon form of ``rows``, extending ``pivots`` in place when
     given.  With a list ``steps``, the length of the pivot row that each
-    reduction meets is appended to it."""
+    reduction meets is appended to it; with a list ``sizes``, the largest
+    absolute entry of each row it holds (each input row, and each
+    cross-multiplied row before its content is divided out)."""
     if pivots is None:
         pivots = {}
     for row in rows:
+        if sizes is not None:
+            sizes.append(max(map(abs, row.values()), default=0))
         while row:
             lead = min(row)
             pivot_row = pivots.get(lead)
@@ -32,5 +36,8 @@ def echelon(rows, pivots=None, steps=None):
             combined = {c: p * x for c, x in row.items()}
             for c, x in pivot_row.items():
                 combined[c] = combined.get(c, 0) - v * x
-            row = _strip_content({c: x for c, x in combined.items() if x})
+            row = {c: x for c, x in combined.items() if x}
+            if sizes is not None:
+                sizes.append(max(map(abs, row.values()), default=0))
+            row = _strip_content(row)
     return pivots

@@ -21,9 +21,9 @@ from nagata import (
     verify_basis_against_oracle,
 )
 from nagata import pde
-from nagata.cli import _monomial_texts, run
+from nagata.cli import run
 from nagata.pde import _echelon, _kernel_vector, _spans_agree
-from nagata.poly import _monomial_text
+from nagata.poly import _monomial_text, _monomial_texts
 import _reference_echelon
 from _strategies import poly3s
 
@@ -235,8 +235,11 @@ class TestKernelOracleReference:
     def test_monomial_table_writer(self):
         for d in range(DEGREE_BOUND + 1):
             monomials = tuple(_monomials(d))
-            assert _monomial_texts(monomials, d) == [
+            assert _monomial_texts(RING3, monomials, d) == [
                 _monomial_text(RING3, m) for m in monomials]
+        monomials = tuple(_monomials(3))
+        assert _monomial_texts(("u", "v", "w"), monomials, 3) == [
+            _monomial_text(("u", "v", "w"), m) for m in monomials]
 
     def test_span_equals_sympy_nullspace(self):
         sympy = pytest.importorskip("sympy")
@@ -420,6 +423,32 @@ class TestEchelonAgainstReference:
             _reference_echelon.echelon(
                 _random_rows(rng, rng.randint(1, 10), rng.randint(1, 8)), steps=steps)
         assert steps.count(1) > 1000 and len(steps) - steps.count(1) > 1000
+
+    def test_no_row_is_larger_than_the_references(self, monkeypatch):
+        """Each row that _echelon divides by its content, before a step
+        that multiplies and at insertion, has no entry larger than the
+        largest the reference holds; a one-entry step before a step that
+        multiplies leaves content that must be divided out first."""
+        strip = pde._strip_content
+        ours = []
+
+        def recorded(row, sign):
+            ours.append(max(map(abs, row.values())))
+            return strip(row, sign)
+
+        monkeypatch.setattr(pde, "_strip_content", recorded)
+        sizes = []
+        expected = _reference_echelon.echelon(
+            [{0: 2, 1: 4, 2: 6}], {0: {0: 1}, 1: {1: 3, 2: 1}}, sizes=sizes)
+        assert _echelon([{0: 2, 1: 4, 2: 6}], {0: {0: 1}, 1: {1: 3, 2: 1}}) == expected
+        assert max(ours) == max(sizes) == 7
+        for seed in range(400):
+            rng = random.Random(seed)
+            rows = _random_rows(rng, rng.randint(1, 10), rng.randint(1, 8))
+            ours, sizes = [], []
+            _echelon(_copies(rows))
+            _reference_echelon.echelon(_copies(rows), sizes=sizes)
+            assert max(ours) <= max(sizes), seed
 
     def test_oracle_blocks_and_span_checks(self, monkeypatch):
         """Every call of kernel_oracle(d) and of _spans_agree for d <= 40;
