@@ -18,17 +18,21 @@ change the exit code.
 whole parser only when arguments are left over or argv names no command,
 so help, usage errors and their exit codes are argparse's as before.
 ``--json`` documents are written by a private writer that gives the bytes
-of ``json.dumps(document, indent=2)`` with one join per list or dict.
+of ``json.dumps(document, indent=2)``, with one join per list or dict and
+the C quoter of ``json.encoder``, read from ``_json`` without loading json.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
-import random
 import sys
+
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C module
+    from json.encoder import encode_basestring_ascii as _quote
 
 from .classify import Classification, Verdict, classify
 from .lojasiewicz import _loj_report, deformation_compare, loj_exponent
@@ -252,6 +256,7 @@ def _cmd_decompose(args) -> tuple[int, dict, list[str]]:
 def _cmd_random(args) -> tuple[int, dict, list[str]]:
     if args.dvmax > DVMAX_BOUND:
         raise ValueError(f"dvmax {args.dvmax} exceeds the bound {DVMAX_BOUND}")
+    import random
     rng = random.Random(args.seed)
     p = random_poly2(rng, args.dvmax)
     phi = expand_bivariate(p)
@@ -318,9 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # the command parsers by name, for run's direct dispatch
     parser.commands = sub.choices
     return parser
-
-
-_quote = json.encoder.encode_basestring_ascii
 
 
 def _json_text(value, indent: str = "\n") -> str:

@@ -8,11 +8,13 @@ closed form 2*deg(phi) + 1, with deg(0) taken as 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .maps import PolyEndo, inverse_nagata
 from .poly import Poly, RING2, _monomial_text
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class LojReport(NamedTuple):
@@ -48,6 +50,7 @@ def _loj_report(phi: Poly, inverse: PolyEndo) -> LojReport:
     phi_degree = 0 if phi.is_zero() else phi.total_degree()
     if inverse_degree != 2 * phi_degree + 1:
         raise RuntimeError("inverse degree formula violated; arithmetic bug")
+    from fractions import Fraction
     return LojReport(
         phi_degree=phi_degree,
         inverse_degree=inverse_degree,

@@ -36,10 +36,12 @@ polynomial.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .poly import Poly, RING2, RING3, Scalar, X, Y, Z, expand_bivariate
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class _Components(NamedTuple):

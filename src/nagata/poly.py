@@ -26,9 +26,10 @@ zero or a factor common to den must go.  So a dict passed to _raw is
 never written afterwards: it is one the caller built for that call, or
 the dict of another Poly.  The public constructor sums its input into a
 new dict and keeps no reference to what it was given.  A coefficient
-becomes a Fraction only where it leaves the core as a number: terms()
-and evaluate().  str() prints each coefficient from its numerator and
-den, and hash() reads the unordered stored form.
+becomes a Fraction only where it leaves the core as a number, in terms()
+and evaluate(); only they, _as_coeff and a constant's hash() import
+fractions (and with it decimal), so a call that makes no Fraction never
+loads it.  str() and hash() read the numerators and den as stored.
 
 expand_bivariate(p) = p(x*z + y^2, z) is written in closed form: by the
 binomial theorem c*t1^k*t2^m expands to the terms c*C(k,i)*x^i*y^(2k-2i)*
@@ -53,12 +54,15 @@ t1 before t2, e.g. "y^2 + x*z" and "x + y + z").
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator, Mapping, Sequence
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Exponent = tuple[int, ...]
-Scalar = Union[int, Fraction]
+Scalar = Union[int, "Fraction"]
 
 RING3 = ("x", "y", "z")
 RING2 = ("t1", "t2")
@@ -70,7 +74,17 @@ def _as_coeff(value) -> Scalar:
     if isinstance(value, int):
         # int() turns a bool into 0 or 1, which print as numerals
         return int(value)
+    from fractions import Fraction
     return Fraction(value)
+
+
+def _is_scalar(value) -> bool:
+    """An int (bool included) or a Fraction, whose class is read from
+    sys.modules: no Fraction exists before fractions is loaded."""
+    if isinstance(value, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
 
 
 def _check_weights(weights: Sequence[int], nvars: int) -> tuple[int, ...]:
@@ -195,6 +209,7 @@ class Poly:
     def terms(self) -> Iterator[tuple[Exponent, Scalar]]:
         """Yield (exponent, coefficient) pairs in canonical order, each
         coefficient an int if it is integral and a Fraction otherwise."""
+        from fractions import Fraction
         den = self._den
         return iter(sorted([(e, Fraction(c, den) if c % den else c // den)
                             for e, c in self._coeffs.items()], key=_term_key))
@@ -217,7 +232,7 @@ class Poly:
                     f"mixed polynomial rings: {self.vars!r} vs {other.vars!r}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return Poly.constant(self.vars, other)
         return None
 
@@ -252,7 +267,7 @@ class Poly:
         return Poly._raw(self.vars, {e: -c for e, c in self._coeffs.items()}, self._den)
 
     def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly) and isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly) and _is_scalar(other):
             # a scalar scales numerators and denominator; no constant Poly is built
             n = other.numerator
             return Poly._raw(self.vars, {e: c * n for e, c in self._coeffs.items()},
@@ -304,7 +319,7 @@ class Poly:
         if isinstance(other, Poly):
             return (self.vars == other.vars and self._den == other._den
                     and self._coeffs == other._coeffs)
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self.is_constant() and next(iter(self._coeffs.values()), 0) \
                 == other * self._den
         return NotImplemented
@@ -312,6 +327,7 @@ class Poly:
     def __hash__(self) -> int:
         # constants hash like their value, so p == 5 implies equal hashes
         if self.is_constant():
+            from fractions import Fraction
             return hash(Fraction(next(iter(self._coeffs.values()), 0), self._den))
         # the stored form is unique, so it hashes without sorting
         return hash((self.vars, self._den, frozenset(self._coeffs.items())))
@@ -393,6 +409,7 @@ class Poly:
                 if e:
                     term *= v ** e
             total += term
+        from fractions import Fraction
         return Fraction(total) / self._den
 
     # -- degrees and leading forms -----------------------------------------

@@ -15,9 +15,12 @@ seeded runs are bit-reproducible:
 
 from __future__ import annotations
 
-import random
+from typing import TYPE_CHECKING
 
 from .poly import Exponent, Poly, RING2, RING3
+
+if TYPE_CHECKING:
+    import random
 
 _COEFFS = tuple(c for c in range(-9, 10) if c)
 

@@ -2,7 +2,11 @@ import copy
 import itertools
 import pickle
 import random
+import site
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -591,3 +595,62 @@ def test_monomial_text_is_the_printed_monomial(ring):
         if sum(exp) <= 12:
             assert _monomial_text(ring, exp) == str(Poly(ring, {exp: 1}))
     assert _monomial_text(ring, (0,) * len(ring)) == "1"
+
+
+# A Poly takes an int, a bool or a Fraction as a scalar operand, and it
+# recognizes a Fraction without importing fractions.  So this child imports
+# fractions only after nagata, under -S, and reaches sympy through the site
+# directories passed to it.
+SCALAR_CHILD = r"""
+import sys
+sys.path.insert(0, sys.argv[1])
+from nagata import Poly, RING3, X
+
+def fails(operation):
+    try:
+        operation()
+    except TypeError as exc:
+        return str(exc)
+    raise AssertionError("no TypeError")
+
+assert "fractions" not in sys.modules, "importing nagata loaded fractions"
+# refused with no Fraction in existence, and still none made
+assert fails(lambda: X * 0.5) == "unsupported operand type(s) for *: 'Poly' and 'float'"
+assert (X == "a") is False and X * 2 == X + X and 3 * X != 3
+assert "fractions" not in sys.modules, "a refused operand loaded fractions"
+from fractions import Fraction
+sys.path.extend(sys.argv[2:])
+from decimal import Decimal
+import sympy
+
+for s, text in [(3, "3"), (True, "1"), (Fraction(1, 2), "1/2"), (Fraction(-4, 2), "-2")]:
+    c = Poly.constant(RING3, s)
+    assert str(X + s) == str(s + X) == f"x + {text}".replace("+ -", "- ")
+    assert X - s == X - c and s - X == c - X and s - X == -(X - s)
+    assert X * s == s * X == X * c and str(X * s) == str(c * X)
+    assert c == s and s == c and c + 0 == s
+    assert (X == s) is False and (s == X) is False and X != s
+half = Poly.constant(RING3, Fraction(1, 2))
+assert hash(half) == hash(Fraction(1, 2)) and hash(X * 0 + Fraction(6, 3)) == hash(2)
+assert Poly(RING3, {(0, 0, 0): Fraction(1, 2)}) == half == Fraction(1, 2)
+assert fails(lambda: X + 0.5) == "unsupported operand type(s) for +: 'Poly' and 'float'"
+assert fails(lambda: 0.5 * X) == "unsupported operand type(s) for *: 'float' and 'Poly'"
+assert fails(lambda: Poly(RING3, {(0, 0, 0): 0.5})) \
+    == "floating point coefficients are not allowed; use Fraction"
+for v in (Decimal("0.5"), sympy.Rational(1, 2)):
+    for operation in (lambda: X + v, lambda: v + X, lambda: X - v, lambda: v - X,
+                      lambda: X * v, lambda: v * X):
+        assert fails(operation).startswith("unsupported operand type(s)")
+    assert (X == v) is False and (v == X) is False
+print("ok")
+"""
+
+
+def test_scalar_operands_in_a_process_that_loads_fractions_late():
+    pytest.importorskip("sympy")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", SCALAR_CHILD, src, *site.getsitepackages()],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"

@@ -87,13 +87,38 @@ def test_records_unpack_and_compare_as_tuples():
     assert nagata.loj_exponent(nagata.T1) == (2, 5, Fraction(1, 5))
 
 
-def test_cli_import_loads_no_dataclasses():
+# Run in a child under -S: a site that imports random or re would hide
+# them.  The commands run in-process after the import, none of them one that
+# computes an exponent, so none of them needs a Fraction.
+CLI_IMPORT_CHILD = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+import nagata.cli
+print(sorted({"dataclasses", "inspect", "json", "fractions", "decimal", "random"}
+             & set(sys.modules)))
+for argv in (["oracle", "5", "--json"], ["basis", "4"],
+             ["invert", "t1^2 + 1/2*t2", "--json"],
+             ["compose", "x + y^2, y, z", "x, y + z^2, z"],
+             ["classify", "3/2*x^2*z^2 + 3*x*y^2*z + 3/2*y^4 + z"],
+             ["decompose", "1/2*x*z + 1/2*y^2", "--json"], ["analyze", "x", "--json"]):
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    code = nagata.cli.run(argv)
+    sys.stdout = stdout
+    print(argv[0], code, "fractions" in sys.modules)
+"""
+
+
+def test_cli_import_loads_only_what_every_call_needs():
     """A CLI call is a fresh process that first imports nagata.cli, so its
-    import stays clear of dataclasses and the inspect module it pulls in."""
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import nagata.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    import stays clear of dataclasses and the inspect module it pulls in,
+    of json, whose quoter is read from _json, of fractions and the decimal
+    it loads, and of random; and a command that makes no Fraction loads no
+    fractions."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run([sys.executable, "-I", "-c", code, src],
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", CLI_IMPORT_CHILD, src],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout.splitlines() == [
+        "[]", "oracle 0 False", "basis 0 False", "invert 0 False", "compose 0 False",
+        "classify 0 False", "decompose 0 False", "analyze 1 False",
+    ]

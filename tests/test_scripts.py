@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["profile_by_file.py", "--workload", "oracle_sweep", "--seed", "41", "--passes", "1"],
     ["mutation_sample.py", "--count", "0", "lojasiewicz"],
     ["workload_reach.py", "--workload", "oracle_sweep", "--seed", "41"],
+    ["cold_cli.py", "--runs", "1"],
 ])
 def test_script_exits_zero(argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -51,6 +52,14 @@ def test_script_exits_zero(argv):
         assert all(row[3].endswith(")") or row[3].endswith(">") for row in rows)
     if argv[0] == "workload_reach.py":
         _check_reach(result.stdout)
+    if argv[0] == "cold_cli.py":
+        header, *rows = result.stdout.splitlines()
+        assert header.startswith("package CPU of one cold call, ms: minimum of 1 runs")
+        commands = [row.split()[1] for row in rows]
+        assert commands == ["analyze", "invert", "compose", "classify", "basis",
+                            "oracle", "loj", "decompose", "random"]
+        for row in rows:
+            float(row.split()[0])  # each row starts with its CPU in ms
 
 
 def _check_reach(stdout: str) -> None:
