@@ -6,8 +6,6 @@ from .classify import (
     Classification,
     Verdict,
     classify,
-    leading_minor_closed_forms,
-    leading_minors,
     wild_by_leading_form,
 )
 from .lojasiewicz import DeformationReport, LojReport, deformation_compare, loj_exponent
@@ -49,7 +47,7 @@ from .poly import (
     Z,
     expand_bivariate,
 )
-from .randgen import random_poly2, random_poly3
+from .randgen import random_poly2
 
 # The public names are the ones imported above; the submodules are not.
 __all__ = sorted(

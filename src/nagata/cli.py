@@ -195,8 +195,8 @@ def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
             "verified": verified,
         }, []
     lines = [f"kernel dimension: {result.dimension}"]
-    for polynomial in result.polynomials():
-        lines.append(f"kernel element: {polynomial}")
+    for vector in result.kernel_basis:
+        lines.append(f"kernel element: {Poly(RING3, zip(result.monomials, vector))}")
     lines.append(f"matches closed-form basis: {'yes' if verified else 'no'}")
     return code, {}, lines
 

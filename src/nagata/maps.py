@@ -14,10 +14,11 @@ formula is written in ``build_nagata``, and the Jacobian report and the
 Milnor certificate are built through it.  The inverse from p is written
 in closed form in ``inverse_nagata``, which squares p, not phi; a test
 in tests/test_maps.py pins it against ``build_nagata`` of -phi.  A map
-is the named triple ``PolyEndo(f, g, h)``; one from ``build_nagata`` or
-``inverse_nagata`` also keeps its phi, so that ``compose`` can add phis
-instead of substituting the expanded components.  The reports are named
-tuples.
+is the named triple ``PolyEndo(f, g, h)``, the identity ``PolyEndo(X, Y,
+Z)``; its image of a point is its composite with a triple of constants.
+One from ``build_nagata`` or ``inverse_nagata`` also keeps its phi, so
+that ``compose`` can add phis instead of substituting the expanded
+components.  The reports are named tuples.
 
 Every map of the family fixes z and satisfies z*f + g^2 = x*z + y^2 (the
 2*y*z*phi and z^2*phi^2 terms cancel), so it leaves every a = p(x*z +
@@ -36,12 +37,9 @@ polynomial.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .poly import Poly, RING2, RING3, Scalar, X, Y, Z, expand_bivariate
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .poly import Poly, RING2, RING3, X, Y, Z, expand_bivariate
 
 
 class _Components(NamedTuple):
@@ -70,16 +68,6 @@ class PolyEndo(_Components):
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PolyEndo is immutable; cannot set {name!r}")
-
-    @classmethod
-    def identity(cls) -> "PolyEndo":
-        return cls(X, Y, Z)
-
-    def evaluate(self, *point: Scalar) -> tuple[Fraction, Fraction, Fraction]:
-        """Image of a rational point under the induced map of Q^3."""
-        return (self.f.evaluate(*point),
-                self.g.evaluate(*point),
-                self.h.evaluate(*point))
 
 
 class NagataMap(NamedTuple):

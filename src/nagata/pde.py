@@ -31,7 +31,7 @@ from collections.abc import Iterable
 from itertools import compress
 from typing import NamedTuple
 
-from .poly import Exponent, Poly, RING2, RING3, expand_bivariate
+from .poly import Exponent, Poly, RING2, expand_bivariate
 
 DEGREE_BOUND = 100
 
@@ -49,12 +49,6 @@ class KernelOracleResult(NamedTuple):
     dimension: int
     monomials: tuple[Exponent, ...]
     kernel_basis: tuple[tuple[int, ...], ...]
-
-    def polynomials(self) -> list[Poly]:
-        return [
-            Poly._raw(RING3, {m: c for m, c in zip(self.monomials, vector) if c}, 1)
-            for vector in self.kernel_basis
-        ]
 
 
 def _check_degree(d: int) -> None:

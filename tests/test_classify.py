@@ -19,11 +19,10 @@ from nagata import (
     classify,
     compose,
     expand_bivariate,
-    leading_minor_closed_forms,
-    leading_minors,
     wild_by_leading_form,
 )
-from _strategies import nonzero_poly2s, poly2s
+from _leading_minors import leading_minor_closed_forms, leading_minors
+from _strategies import nonzero_poly2s, poly2s, random_poly3
 
 PHI = X * Z + Y ** 2
 EXWW = T1 ** 2 - T2 ** 3 + T1 * T2 ** 2
@@ -95,11 +94,7 @@ class TestWildCriterion:
 
 
 class TestLeadingMinors:
-    def test_constant_phi_rejected(self):
-        with pytest.raises(ValueError, match="leading forms degenerate"):
-            leading_minors(Poly.constant(RING3, 3))
-        with pytest.raises(ValueError, match="leading forms degenerate"):
-            leading_minor_closed_forms(Poly.zero(RING3))
+    """The paper's leading-form lemma, checked by tests/_leading_minors.py."""
 
     def test_named_minors_for_classical_map(self):
         minors = leading_minors(PHI)
@@ -119,8 +114,6 @@ class TestLeadingMinors:
 
     def test_minors_match_closed_forms_for_general_phi(self):
         rng = random.Random(5)
-        from nagata import random_poly3
-
         checked = 0
         while checked < 10:
             phi = random_poly3(rng, 3)
@@ -134,7 +127,7 @@ class TestSelfChecks:
     """Each self-check of classify raises on one injected wrong value."""
 
     def test_wrong_tame_factors_raise(self, monkeypatch):
-        monkeypatch.setattr(CLASSIFY, "compose", lambda outer, inner: PolyEndo.identity())
+        monkeypatch.setattr(CLASSIFY, "compose", lambda outer, inner: PolyEndo(X, Y, Z))
         with pytest.raises(RuntimeError, match="tame factorization.*arithmetic bug"):
             classify(Z)
 

@@ -24,7 +24,6 @@ from nagata import (
     parse_poly3,
 )
 from nagata import cli
-from nagata.pde import KernelOracleResult
 from nagata.cli import DVMAX_BOUND, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -331,7 +330,7 @@ class TestInternalError:
     def test_failed_self_check_exits_three(self, capsys, monkeypatch):
         # the tame factors of phi = z no longer compose to its map
         monkeypatch.setattr(importlib.import_module("nagata.classify"), "compose",
-                            lambda outer, inner: PolyEndo.identity())
+                            lambda outer, inner: PolyEndo(X, Y, Z))
         assert invoke(capsys, "analyze", "z") == (
             3, "", "internal error: RuntimeError: tame factorization failed verification; "
             "arithmetic bug\n")
@@ -532,8 +531,8 @@ class TestEachPolynomialPrintedOnce:
         capsys.readouterr()
         p = parse_poly2("3/2*t1^2 - t1*t2^2 + t2^3 + 2")
         endo, inverse = build_nagata(expand_bivariate(p)).endo, inverse_nagata(p)
-        assert compose(endo, inverse) == PolyEndo.identity()
-        assert compose(inverse, endo) == PolyEndo.identity()
+        assert compose(endo, inverse) == PolyEndo(X, Y, Z)
+        assert compose(inverse, endo) == PolyEndo(X, Y, Z)
 
     @pytest.mark.parametrize("phi", [WILD_PHI, TAME_PHI, "x*z + y^2 + z^3"],
                              ids=["wild", "tame", "unknown"])
@@ -556,9 +555,12 @@ class TestEachPolynomialPrintedOnce:
         assert built == ([parse_poly3(phi)] if phi == TAME_PHI else [])
 
     def test_oracle_json_builds_no_kernel_polynomials(self, capsys, monkeypatch):
-        def refuse(self):
-            raise AssertionError("polynomials() built for --json")
+        def refuse(*args):
+            raise AssertionError("kernel polynomial built for --json")
 
-        monkeypatch.setattr(KernelOracleResult, "polynomials", refuse)
+        monkeypatch.setattr(cli, "Poly", refuse)
         assert run(["oracle", "12", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
+        # the probe is live: the text output builds each kernel polynomial
+        assert run(["oracle", "2"]) == 3
+        assert "kernel polynomial built for --json" in capsys.readouterr().err

@@ -29,7 +29,7 @@ from nagata import (
 )
 from nagata.cli import run
 from nagata.lojasiewicz import LojReport, _loj_report
-from _strategies import nonzero_poly2s
+from _strategies import constants, nonzero_poly2s
 
 EXWW = T1 ** 2 - T2 ** 3 + T1 * T2 ** 2
 
@@ -105,7 +105,7 @@ class TestSelfChecks:
     def test_wrong_inverse_degree_raises(self):
         # the identity has degree 1; the inverse for phi of degree 2 has 5
         with pytest.raises(RuntimeError, match="inverse degree.*arithmetic bug"):
-            _loj_report(X * Z + Y ** 2, PolyEndo.identity())
+            _loj_report(X * Z + Y ** 2, PolyEndo(X, Y, Z))
 
     def test_non_monotone_exponents_raise(self, monkeypatch):
         # the deformation gets the larger exponent
@@ -126,7 +126,7 @@ def _top_form_non_root(inverse, degree):
     forms = [c.leading_form() for c in inverse if c.total_degree() == degree]
     for m in range(degree + 1):
         for v in itertools.product(range(m + 1), repeat=3):
-            if max(v) == m and any(form.evaluate(*v) for form in forms):
+            if max(v) == m and any(form.substitute(*constants(*v)) for form in forms):
                 return v
     raise AssertionError(f"no point of {{0..{degree}}}^3 off the top forms")
 
@@ -144,8 +144,8 @@ def _certified_exponent(p):
     forward = PolyEndo(*build_nagata(phi).endo)
     inverse = PolyEndo(*inverse_nagata(p))
     assert forward.phi is None and inverse.phi is None
-    assert compose(forward, inverse) == PolyEndo.identity()
-    assert compose(inverse, forward) == PolyEndo.identity()
+    assert compose(forward, inverse) == PolyEndo(X, Y, Z)
+    assert compose(inverse, forward) == PolyEndo(X, Y, Z)
     degree = max(c.total_degree() for c in inverse)
     v = _top_form_non_root(inverse, degree)
     line = [a * T for a in v]

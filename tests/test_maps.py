@@ -26,14 +26,13 @@ from nagata import (
     milnor_certificate,
     pde_residual,
     random_poly2,
-    random_poly3,
 )
-from _strategies import is_stored_reduced, poly2s, poly3s, polys
+from _strategies import constants, is_stored_reduced, poly2s, poly3s, polys, random_poly3
 from nagata import RING2
 
 PHI = X * Z + Y ** 2
 EXWW = T1 ** 2 - T2 ** 3 + T1 * T2 ** 2
-IDENTITY = PolyEndo.identity()
+IDENTITY = PolyEndo(X, Y, Z)
 
 
 class TestBuild:
@@ -196,9 +195,9 @@ class TestAutomorphy:
 
     def test_collision_witness(self):
         endo = build_nagata(X).endo
-        image = endo.evaluate(0, 0, 1)
+        image = compose(endo, PolyEndo(*constants(0, 0, 1)))
         assert image == (0, 0, 1)
-        assert endo.evaluate(-1, 1, 1) == image
+        assert compose(endo, PolyEndo(*constants(-1, 1, 1))) == image
 
 
 class TestDecompose:
@@ -453,8 +452,6 @@ class TestMilnorCertificate:
 
 def test_random_phi_certificates_batch():
     rng = random.Random(11)
-    from nagata import random_poly3
-
     for _ in range(20):
         milnor_certificate(random_poly3(rng, 3))  # verifies internally
 

@@ -11,6 +11,9 @@ import pytest
 
 import nagata
 
+# the module; the package attribute nagata.classify is the function
+CLASSIFY = importlib.import_module("nagata.classify")
+
 # Pinned, so that a helper imported into the package does not become
 # public unnoticed.
 PUBLIC = [
@@ -21,9 +24,8 @@ PUBLIC = [
     "Z", "build_nagata", "classify", "compose", "decompose",
     "deformation_compare", "expand_bivariate",
     "inverse_nagata", "jacobian", "jacobian_report",
-    "kernel_oracle", "leading_minor_closed_forms", "leading_minors",
-    "loj_exponent", "milnor_certificate", "parse_poly2", "parse_poly3",
-    "pde_residual", "random_poly2", "random_poly3", "solution_basis",
+    "kernel_oracle", "loj_exponent", "milnor_certificate", "parse_poly2",
+    "parse_poly3", "pde_residual", "random_poly2", "solution_basis",
     "verify_basis_against_oracle", "wild_by_leading_form",
 ]
 
@@ -48,21 +50,25 @@ def test_star_import_binds_exactly_all():
 @pytest.mark.parametrize("name", [
     "jacobian_det", "check_homogeneous_split", "ComponentResidual", "NEG_INFINITY",
     "SolutionBasis", "invariant_monomials", "degree_monomials",
+    "leading_minors", "leading_minor_closed_forms", "random_poly3",
 ])
 def test_removed_names_are_absent(name):
-    for module in (nagata, nagata.maps, nagata.pde, nagata.poly):
+    for module in (nagata, nagata.maps, nagata.pde, nagata.poly, nagata.randgen, CLASSIFY):
         assert not hasattr(module, name)
 
 
 @pytest.mark.parametrize("owner, name", [
-    # nagata.classify is the function, so the module is imported by name
-    (importlib.import_module("nagata.classify"), "MINOR_NAMES"),
+    (CLASSIFY, "MINOR_NAMES"),
     (nagata.Poly, "constant_value"),
     (nagata.Poly, "coefficient"),
     (nagata.Poly, "homogeneous_components"),
     (nagata.kernel_oracle(0), "degree"),
     # a NamedTuple field is a class attribute, so the class pins it too
     (nagata.KernelOracleResult, "degree"),
+    (nagata.Poly, "evaluate"),
+    (nagata.PolyEndo, "evaluate"),
+    (nagata.PolyEndo, "identity"),
+    (nagata.KernelOracleResult, "polynomials"),
 ])
 def test_removed_members_are_absent(owner, name):
     assert not hasattr(owner, name)

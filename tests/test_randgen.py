@@ -1,12 +1,15 @@
 """Pins of the seeded generators: the same seed gives the same polynomial,
 and each call draws the same random numbers, so a sequence of calls on one
-``random.Random`` is pinned too."""
+``random.Random`` is pinned too.  ``random_poly3`` is the tests' own
+generator of phi, in tests/_strategies.py; its pins keep the seeded phi of
+the acceptance tests what they were when the package exported it."""
 
 import random
 
 import pytest
 
-from nagata import random_poly2, random_poly3
+from nagata import random_poly2
+from _strategies import random_poly3
 
 
 @pytest.mark.parametrize("seed, dvmax, text", [
@@ -52,3 +55,11 @@ def test_calls_on_one_rng_are_pinned():
 def test_negative_bound_is_refused(generate, message):
     with pytest.raises(ValueError, match=message):
         generate(random.Random(0), -1)
+
+
+def test_a_draw_of_one_half_drops_the_monomial():
+    # random() lies in [0, 1), so keeping a monomial when the draw is below
+    # 1/2 keeps it with probability exactly 1/2
+    rng = random.Random(0)
+    rng.random = iter([0.5, 0.25]).__next__
+    assert random_poly2(rng, 1).support() == {(0, 1)}
