@@ -103,7 +103,7 @@ def main():
     for d in range(9):
         oracle = kernel_oracle(d)
         ok = verify_basis_against_oracle(d)
-        print(f"{d:>6}  {oracle.dimension:>9}  {d // 2 + 1:>12}  {str(ok):>15}")
+        print(f"{d:>6}  {len(oracle.kernel_basis):>9}  {d // 2 + 1:>12}  {str(ok):>15}")
 
     section("Lojasiewicz exponents under support-extending deformations")
     pairs = [

@@ -187,16 +187,23 @@ def _cmd_oracle(args) -> tuple[int, dict, list[str]]:
     # the JSON and the text share no polynomial, so only the one asked for
     # is built
     if args.json:
+        # the schema lists every coefficient, zeros included
+        n = len(result.monomials)
+        rows = [["0"] * n for _ in result.kernel_basis]
+        for row, vector in zip(rows, result.kernel_basis):
+            for c, x in vector:
+                row[c] = str(x)
         return code, {
             "degree": args.degree,
-            "dimension": result.dimension,
+            "dimension": len(rows),
             "monomials": _monomial_texts(RING3, result.monomials, args.degree),
-            "kernel_basis": [list(map(str, vec)) for vec in result.kernel_basis],
+            "kernel_basis": rows,
             "verified": verified,
         }, []
-    lines = [f"kernel dimension: {result.dimension}"]
+    monomials = result.monomials
+    lines = [f"kernel dimension: {len(result.kernel_basis)}"]
     for vector in result.kernel_basis:
-        lines.append(f"kernel element: {Poly(RING3, zip(result.monomials, vector))}")
+        lines.append(f"kernel element: {Poly(RING3, [(monomials[c], x) for c, x in vector])}")
     lines.append(f"matches closed-form basis: {'yes' if verified else 'no'}")
     return code, {}, lines
 

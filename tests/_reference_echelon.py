@@ -13,14 +13,12 @@ def _strip_content(row):
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def echelon(rows, pivots=None, steps=None, sizes=None):
-    """The echelon form of ``rows``, extending ``pivots`` in place when
-    given.  With a list ``steps``, the length of the pivot row that each
-    reduction meets is appended to it; with a list ``sizes``, the largest
-    absolute entry of each row it holds (each input row, and each
-    cross-multiplied row before its content is divided out)."""
-    if pivots is None:
-        pivots = {}
+def echelon(rows, steps=None, sizes=None):
+    """The echelon form of ``rows``.  With a list ``steps``, the length of
+    the pivot row that each reduction meets is appended to it; with a list
+    ``sizes``, the largest absolute entry of each row it holds (each input
+    row, and each cross-multiplied row before its content is divided out)."""
+    pivots = {}
     for row in rows:
         if sizes is not None:
             sizes.append(max(map(abs, row.values()), default=0))

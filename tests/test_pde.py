@@ -113,17 +113,29 @@ class TestHomogeneousSplit:
         )
 
 
+def _polynomial(oracle, vector):
+    """The kernel element whose (column, value) pairs are ``vector``."""
+    return Poly(RING3, [(oracle.monomials[c], x) for c, x in vector])
+
+
+def _dense(oracle):
+    """The oracle's kernel vectors with one entry per monomial."""
+    n = len(oracle.monomials)
+    return tuple(tuple(dict(vector).get(c, 0) for c in range(n))
+                 for vector in oracle.kernel_basis)
+
+
 class TestKernelOracle:
     def test_dimensions(self):
-        assert kernel_oracle(0).dimension == 1
-        assert kernel_oracle(2).dimension == 2
-        assert kernel_oracle(5).dimension == 3
+        assert len(kernel_oracle(0).kernel_basis) == 1
+        assert len(kernel_oracle(2).kernel_basis) == 2
+        assert len(kernel_oracle(5).kernel_basis) == 3
 
     def test_kernel_vectors_reassemble_to_solutions(self):
         for d in range(7):
             result = kernel_oracle(d)
             for vector in result.kernel_basis:
-                polynomial = Poly(RING3, zip(result.monomials, vector))
+                polynomial = _polynomial(result, vector)
                 assert not polynomial.is_zero()
                 assert pde_residual(polynomial) == 0
 
@@ -133,17 +145,41 @@ class TestKernelOracle:
 
     def test_dimension_law(self):
         for d in range(9):
-            assert kernel_oracle(d).dimension == d // 2 + 1
+            assert len(kernel_oracle(d).kernel_basis) == d // 2 + 1
 
     def test_kernel_vectors_are_ints(self):
         for d in range(13):
             for vector in kernel_oracle(d).kernel_basis:
-                assert all(type(x) is int for x in vector)
+                assert all(type(x) is int for _, x in vector)
+
+    @pytest.mark.parametrize("d", [*range(13), 40])
+    def test_kernel_vectors_are_sparse_pairs(self, d):
+        """Each vector is a tuple of (column, int) pairs, columns strictly
+        ascending and in range, no zero value, coprime values and a
+        positive first value."""
+        result = kernel_oracle(d)
+        assert type(result.kernel_basis) is tuple
+        for vector in result.kernel_basis:
+            assert type(vector) is tuple
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in vector)
+            columns = [c for c, _ in vector]
+            values = [x for _, x in vector]
+            assert all(type(c) is int for c in columns)
+            assert all(type(x) is int for x in values)
+            assert columns == sorted(set(columns))
+            assert 0 <= columns[0] and columns[-1] < len(result.monomials)
+            assert 0 not in values
+            assert math.gcd(*values) == 1
+            assert values[0] > 0
+
+    def test_record_fields_and_hash(self):
+        assert KernelOracleResult._fields == ("monomials", "kernel_basis")
+        assert hash(kernel_oracle(6)) == hash(kernel_oracle(6))
 
     def test_large_degree(self):
         result = kernel_oracle(40)
-        assert result.dimension == 21
-        assert all(pde_residual(Poly(RING3, zip(result.monomials, vector))) == 0
+        assert len(result.kernel_basis) == 21
+        assert all(pde_residual(_polynomial(result, vector)) == 0
                    for vector in result.kernel_basis)
 
 
@@ -154,7 +190,8 @@ def _monomials(d):
 
 
 def dense_kernel_oracle(d):
-    """Reference: eliminate the dense n x n residual matrix, column by column."""
+    """Reference: eliminate the dense n x n residual matrix, column by
+    column; the monomials and the kernel vectors, one entry per monomial."""
     monomials = _monomials(d)
     index = {m: i for i, m in enumerate(monomials)}
     n = len(monomials)
@@ -185,20 +222,20 @@ def dense_kernel_oracle(d):
         ints = [int(x * math.lcm(*(y.denominator for y in v))) for x in v]
         g = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
         vectors.append(tuple(Fraction(x // g) for x in ints))
-    return KernelOracleResult(len(vectors), tuple(monomials), tuple(vectors))
+    return tuple(monomials), tuple(vectors)
 
 
 def _dense_oracle_json(d):
     """`nagata oracle d --json` as json.dumps writes it, from the dense
     elimination and the printer's own monomial text."""
-    oracle = dense_kernel_oracle(d)
+    monomials, vectors = dense_kernel_oracle(d)
     return json.dumps({
         "schema": 1,
         "command": "oracle",
         "degree": d,
-        "dimension": oracle.dimension,
-        "monomials": [_monomial_text(RING3, m) for m in oracle.monomials],
-        "kernel_basis": [[str(x) for x in vector] for vector in oracle.kernel_basis],
+        "dimension": len(vectors),
+        "monomials": [_monomial_text(RING3, m) for m in monomials],
+        "kernel_basis": [[str(x) for x in vector] for vector in vectors],
         "verified": True,
     }, indent=2) + "\n"
 
@@ -206,7 +243,8 @@ def _dense_oracle_json(d):
 class TestKernelOracleReference:
     def test_equals_dense_elimination(self):
         for d in (*range(13), 16):
-            assert kernel_oracle(d) == dense_kernel_oracle(d)
+            oracle = kernel_oracle(d)
+            assert (oracle.monomials, _dense(oracle)) == dense_kernel_oracle(d)
 
     # sha256 of `nagata oracle d --json` as printed by the dense elimination;
     # for d = 40, of _dense_oracle_json(40), too slow to build here (about
@@ -251,10 +289,8 @@ class TestKernelOracleReference:
                 rows.setdefault(mono[:3], [QQ.zero] * n)[mono[3:].index(1)] = value
             system = DomainMatrix(list(rows.values()) or [[QQ.zero] * n], (max(len(rows), 1), n), QQ)
             expected = system.nullspace()
-            oracle = kernel_oracle(d)
-            found = DomainMatrix(
-                [[QQ(int(v)) for v in vec] for vec in oracle.kernel_basis], (oracle.dimension, n), QQ
-            )
+            dense = _dense(kernel_oracle(d))
+            found = DomainMatrix([[QQ(int(v)) for v in vec] for vec in dense], (len(dense), n), QQ)
             assert expected.rank() == found.rank() == DomainMatrix.vstack(expected, found).rank()
 
 
@@ -273,13 +309,15 @@ class TestSpanEquality:
 
 
 def _with_vectors(oracle, vectors):
-    return oracle._replace(dimension=len(vectors), kernel_basis=tuple(vectors))
+    return oracle._replace(kernel_basis=tuple(vectors))
 
 
-def _bump_last(vector):
+def _bump_last(oracle, vector):
     """vector + e_(x^d); x^d is the last monomial and, for d >= 1, no
     solution holds it, so the result leaves the kernel."""
-    return (*vector[:-1], vector[-1] + 1)
+    last = len(oracle.monomials) - 1
+    assert not vector or vector[-1][0] < last
+    return (*vector, (last, 1))
 
 
 class TestSpanMismatch:
@@ -289,7 +327,7 @@ class TestSpanMismatch:
     @pytest.mark.parametrize("d", [2, 4, 9])
     def test_dropped_vector(self, d):
         oracle = kernel_oracle(d)
-        for i in range(oracle.dimension):
+        for i in range(len(oracle.kernel_basis)):
             vectors = oracle.kernel_basis[:i] + oracle.kernel_basis[i + 1:]
             assert not _spans_agree(_with_vectors(oracle, vectors), solution_basis(d))
 
@@ -298,30 +336,22 @@ class TestSpanMismatch:
         oracle = kernel_oracle(d)
         for i, vector in enumerate(oracle.kernel_basis):
             vectors = list(oracle.kernel_basis)
-            vectors[i] = _bump_last(vector)
+            vectors[i] = _bump_last(oracle, vector)
             assert not _spans_agree(_with_vectors(oracle, vectors), solution_basis(d))
 
     @pytest.mark.parametrize("d", [1, 4, 9])
     def test_appended_independent_row(self, d):
         oracle = kernel_oracle(d)
-        extra = _bump_last((0,) * len(oracle.monomials))
+        extra = _bump_last(oracle, ())
         vectors = (*oracle.kernel_basis, extra)
         assert not _spans_agree(_with_vectors(oracle, vectors), solution_basis(d))
-
-    def test_echelon_continues_from_earlier_pivots(self):
-        oracle = kernel_oracle(6)
-        index = {m: i for i, m in enumerate(oracle.monomials)}
-        a_rows = [{index[m]: c for m, c in p._coeffs.items()} for p in solution_basis(6)]
-        b_rows = [{c: x for c, x in enumerate(vec) if x} for vec in oracle.kernel_basis]
-        b_rows.append({index[(6, 0, 0)]: 1, 0: 3})
-        assert _echelon(b_rows, _echelon(a_rows)) == _echelon(a_rows + b_rows)
 
     def test_oracle_exits_1_on_a_wrong_vector(self, capsys, monkeypatch):
         import nagata.cli
 
         def wrong(d):
             oracle = kernel_oracle(d)
-            return _with_vectors(oracle, (_bump_last(oracle.kernel_basis[0]),
+            return _with_vectors(oracle, (_bump_last(oracle, oracle.kernel_basis[0]),
                                           *oracle.kernel_basis[1:]))
 
         monkeypatch.setattr(nagata.cli, "kernel_oracle", wrong)
@@ -403,11 +433,10 @@ class TestEchelonAgainstReference:
             rng = random.Random(seed)
             width = rng.randint(1, 8)
             first = _random_rows(rng, rng.randint(1, 6), width)
-            rows = _random_rows(rng, rng.randint(1, 6), width)
+            rows = first + _random_rows(rng, rng.randint(1, 6), width)
             given_rows = _copies(rows)
-            expected = _reference_echelon.echelon(
-                _copies(rows), _reference_echelon.echelon(_copies(first)))
-            assert _echelon(rows, _echelon(first)) == expected, seed
+            expected = _reference_echelon.echelon(_copies(rows))
+            assert _echelon(rows) == expected, seed
             assert rows == given_rows, seed
 
     def test_random_rows_take_both_paths(self):
@@ -432,9 +461,10 @@ class TestEchelonAgainstReference:
 
         monkeypatch.setattr(pde, "_strip_content", recorded)
         sizes = []
-        expected = _reference_echelon.echelon(
-            [{0: 2, 1: 4, 2: 6}], {0: {0: 1}, 1: {1: 3, 2: 1}}, sizes=sizes)
-        assert _echelon([{0: 2, 1: 4, 2: 6}], {0: {0: 1}, 1: {1: 3, 2: 1}}) == expected
+        # the two pivot rows first, then the row that reduces against them
+        rows = [{0: 1}, {1: 3, 2: 1}, {0: 2, 1: 4, 2: 6}]
+        expected = _reference_echelon.echelon(_copies(rows), sizes=sizes)
+        assert _echelon(rows) == expected
         assert max(ours) == max(sizes) == 7
         for seed in range(400):
             rng = random.Random(seed)
@@ -452,12 +482,11 @@ class TestEchelonAgainstReference:
         oracle_steps, span_steps = [], []
         steps = oracle_steps  # the list that checked appends to
 
-        def checked(rows, pivots=None):
+        def checked(rows):
             rows = list(rows)
             given_rows = _copies(rows)
-            earlier = None if pivots is None else {c: dict(r) for c, r in pivots.items()}
-            expected = _reference_echelon.echelon(_copies(rows), earlier, steps)
-            result = echelon(rows, pivots)
+            expected = _reference_echelon.echelon(_copies(rows), steps)
+            result = echelon(rows)
             assert result == expected
             assert rows == given_rows
             return result

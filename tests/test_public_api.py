@@ -69,6 +69,7 @@ def test_removed_names_are_absent(name):
     (nagata.PolyEndo, "evaluate"),
     (nagata.PolyEndo, "identity"),
     (nagata.KernelOracleResult, "polynomials"),
+    (nagata.KernelOracleResult, "dimension"),
 ])
 def test_removed_members_are_absent(owner, name):
     assert not hasattr(owner, name)
