@@ -83,12 +83,14 @@ def classify(phi: Poly) -> Classification:
             leading_form=lead,
             tame_factors=_tame_factorization(phi),
         )
+    # wild_by_leading_form(p), read off the form built above
+    derivative = lead.partial("t1")
     return Classification(
-        Verdict.WILD_AUTOMORPHISM if wild_by_leading_form(p)
-        else Verdict.AUTOMORPHISM_TAMENESS_UNKNOWN,
+        Verdict.AUTOMORPHISM_TAMENESS_UNKNOWN if derivative.is_zero()
+        else Verdict.WILD_AUTOMORPHISM,
         residual,
         representative=p,
         leading_form=lead,
-        leading_form_t1_derivative=lead.partial("t1"),
+        leading_form_t1_derivative=derivative,
     )
 

@@ -119,7 +119,7 @@ def _analysis_payload(phi: Poly) -> tuple[int, dict, list[str]]:
     ]
     if is_auto:
         inverse = inverse_nagata(verdict.representative)
-        loj = _loj_report(phi, inverse)
+        loj = _loj_report(inverse)
         payload["inverse"] = _endo_payload(inverse)
         payload["lojasiewicz_exponent"] = str(loj.exponent)
         lines.append(f"representative p: {representative}")

@@ -39,15 +39,14 @@ class DeformationReport(NamedTuple):
 def loj_exponent(p: Poly) -> LojReport:
     """Exponent 1/deg(inverse) of the automorphism built from
     phi = p(x*z + y^2, z), with the inverse degree measured, not assumed."""
-    inverse = inverse_nagata(p)
-    return _loj_report(inverse.phi, inverse)
+    return _loj_report(inverse_nagata(p))
 
 
-def _loj_report(phi: Poly, inverse: PolyEndo) -> LojReport:
-    """The report for phi = p(x*z + y^2, z), or -phi, which has the same
-    degree, and the inverse of its map, both already built by the caller."""
+def _loj_report(inverse: PolyEndo) -> LojReport:
+    """The report for the map of phi = p(x*z + y^2, z), from its inverse as
+    ``inverse_nagata`` builds it, which carries -phi (of phi's degree)."""
     inverse_degree = max(component.total_degree() for component in inverse)
-    phi_degree = 0 if phi.is_zero() else phi.total_degree()
+    phi_degree = 0 if inverse.phi.is_zero() else inverse.phi.total_degree()
     if inverse_degree != 2 * phi_degree + 1:
         raise RuntimeError("inverse degree formula violated; arithmetic bug")
     from fractions import Fraction

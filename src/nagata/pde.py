@@ -17,7 +17,9 @@ Two independent routes to the degree-d solution space:
   these blocks meets a pivot row of one entry, which ``_echelon`` applies
   by deleting an entry, with no multiplication; a row's content is
   divided out only before a step that multiplies and when it becomes a
-  pivot row.
+  pivot row.  Each pivot row is, up to sign, the one that
+  cross-multiplying and dividing out the content at every step gives;
+  no output reads that sign.
 
 ``verify_basis_against_oracle`` checks that the two spans agree.  Both
 routes refuse degrees above ``DEGREE_BOUND``, so that no degree runs
@@ -68,9 +70,9 @@ def solution_basis(d: int) -> tuple[Poly, ...]:
     )
 
 
-def _strip_content(row: dict[int, int], sign: int) -> dict[int, int]:
-    """sign * row divided by the gcd of its entries."""
-    g = math.gcd(*row.values()) * sign
+def _strip_content(row: dict[int, int]) -> dict[int, int]:
+    """row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g != 1 else row
 
 
@@ -79,46 +81,36 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     entries), keyed by pivot column.
 
     Each row is reduced at its leading column against the pivot row found
-    there until its leading column is new, and is then stored as the pivot
-    row of that column.  The pivot columns are those not in the span of
-    the columns before them, as in column-by-column elimination.  No input
-    row is changed.
+    there until its leading column is new, and is then stored, divided by
+    its content, as the pivot row of that column.  The pivot columns are
+    those not in the span of the columns before them, as in
+    column-by-column elimination.  No input row is changed.
 
-    A step against a pivot row of two or more entries first divides the
-    row by the gcd of its entries, then cross-multiplies (p * row - v *
-    pivot row, for the leading entries p and v).  One-entry rule: against
-    a pivot row {lead: p}, cross-multiplying and dividing out the content
-    gives the row without its leading entry, times the sign of p, divided
-    by its content; so the step only deletes the entry and notes the sign,
-    and multiplies nothing.  The noted sign is applied, and the content
-    such steps leave divided out, when the row is next stripped: before a
-    step that multiplies, or when it becomes a pivot row (strip at
-    insertion).  So every pivot row, its
-    entries and signs included, is the one that cross-multiplying and
-    stripping after each step gives, each multiplication reads a row no
-    larger than that elimination's, and a deletion makes no new entry.
-    Every step that the residual map's blocks make meets a pivot row of
-    one entry.
+    Against a pivot row {lead: p} a step only deletes the row's entry at
+    lead; cross-multiplying would give that result times p.  Against a
+    longer pivot row it divides out the row's content, then
+    cross-multiplies (p * row - v * pivot row, for the leading entries p
+    and v).  So each pivot row is, up to sign, the one that
+    cross-multiplying and dividing out the content after every step
+    gives, no row multiplied is larger than that elimination's, and a
+    deletion makes no new entry.  No output reads a pivot row's sign:
+    ``_kernel_vector`` normalizes its vectors, and ``_spans_agree`` reads
+    ranks.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        sign = 1  # the row reduced so far is sign * row, up to a positive factor
         while row:
             lead = min(row)
             pivot_row = pivots.get(lead)
             if pivot_row is None:
-                pivots[lead] = _strip_content(row, sign)
+                pivots[lead] = _strip_content(row)
                 break
-            p = pivot_row[lead]
             if len(pivot_row) == 1:
                 row = row.copy()
                 del row[lead]
-                if p < 0:
-                    sign = -sign
                 continue
-            row = _strip_content(row, sign)
-            sign = 1
-            v = row[lead]
+            row = _strip_content(row)
+            p, v = pivot_row[lead], row[lead]
             combined = {c: p * x for c, x in row.items()}
             for c, x in pivot_row.items():
                 combined[c] = combined.get(c, 0) - v * x

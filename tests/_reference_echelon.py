@@ -2,7 +2,8 @@
 one-entry pivot path, kept as test_pde.py keeps the dense kernel oracle.
 Every reduction cross-multiplies the row with the pivot row found at its
 leading column and strips the content of the result; the package's
-``_echelon`` must return the same pivot rows, entries and signs included.
+``_echelon`` must return the same pivot columns, and each pivot row equal
+to this one's or to its negation.
 """
 
 import math

@@ -383,6 +383,12 @@ class TestKernelVector:
         assert null.rank() == sympy.Matrix.hstack(null, dense).rank() == 1
 
 
+def _up_to_sign(pivots):
+    """pivots with each row negated where its pivot entry is negative."""
+    return {c: row if row[c] > 0 else {j: -x for j, x in row.items()}
+            for c, row in pivots.items()}
+
+
 class TestEchelon:
     """Generic rows next to those of the residual map, whose reductions only
     meet pivot rows of one entry."""
@@ -395,7 +401,7 @@ class TestEchelon:
         ([{0: 2, 1: 4}], {0: {0: 1, 1: 2}}),
     ])
     def test_generic_rows(self, rows, expected):
-        assert _echelon(rows) == expected
+        assert _up_to_sign(_echelon(rows)) == _up_to_sign(expected)
 
 
 def _random_rows(rng, count, width):
@@ -416,16 +422,18 @@ def _copies(rows):
 
 
 class TestEchelonAgainstReference:
-    """_echelon gives the pivot rows, entries and signs included, of the
-    reference, which cross-multiplies and strips the content at every step,
-    and it changes no input row."""
+    """_echelon gives the pivot columns of the reference, which
+    cross-multiplies and strips the content at every step, and its pivot
+    rows up to sign: each is the reference's row or its negation.  It
+    changes no input row."""
 
     def test_random_rows(self):
         for seed in range(400):
             rng = random.Random(seed)
             rows = _random_rows(rng, rng.randint(1, 10), rng.randint(1, 8))
             given_rows = _copies(rows)
-            assert _echelon(rows) == _reference_echelon.echelon(_copies(rows)), seed
+            expected = _reference_echelon.echelon(_copies(rows))
+            assert _up_to_sign(_echelon(rows)) == _up_to_sign(expected), seed
             assert rows == given_rows, seed
 
     def test_random_rows_after_earlier_pivots(self):
@@ -436,7 +444,7 @@ class TestEchelonAgainstReference:
             rows = first + _random_rows(rng, rng.randint(1, 6), width)
             given_rows = _copies(rows)
             expected = _reference_echelon.echelon(_copies(rows))
-            assert _echelon(rows) == expected, seed
+            assert _up_to_sign(_echelon(rows)) == _up_to_sign(expected), seed
             assert rows == given_rows, seed
 
     def test_random_rows_take_both_paths(self):
@@ -455,16 +463,16 @@ class TestEchelonAgainstReference:
         strip = pde._strip_content
         ours = []
 
-        def recorded(row, sign):
+        def recorded(row):
             ours.append(max(map(abs, row.values())))
-            return strip(row, sign)
+            return strip(row)
 
         monkeypatch.setattr(pde, "_strip_content", recorded)
         sizes = []
         # the two pivot rows first, then the row that reduces against them
         rows = [{0: 1}, {1: 3, 2: 1}, {0: 2, 1: 4, 2: 6}]
         expected = _reference_echelon.echelon(_copies(rows), sizes=sizes)
-        assert _echelon(rows) == expected
+        assert _up_to_sign(_echelon(rows)) == _up_to_sign(expected)
         assert max(ours) == max(sizes) == 7
         for seed in range(400):
             rng = random.Random(seed)
@@ -487,7 +495,7 @@ class TestEchelonAgainstReference:
             given_rows = _copies(rows)
             expected = _reference_echelon.echelon(_copies(rows), steps)
             result = echelon(rows)
-            assert result == expected
+            assert _up_to_sign(result) == _up_to_sign(expected)
             assert rows == given_rows
             return result
 
@@ -499,3 +507,52 @@ class TestEchelonAgainstReference:
             assert _spans_agree(oracle, solution_basis(d))
         assert set(oracle_steps) == {1}
         assert 1 in span_steps and max(span_steps) > 1
+
+
+def _rescaled(pivots, rng):
+    """pivots with each row multiplied by a random k in +-1, +-2, +-3, so
+    that a random subset of them is negated or scaled."""
+    rescaled = {}
+    for c, row in pivots.items():
+        k = rng.choice([1, -1, 2, -2, 3, -3])
+        rescaled[c] = {j: k * x for j, x in row.items()}
+    return rescaled
+
+
+class TestPivotSignIsFree:
+    """Why _echelon may keep its pivot rows up to sign: negating, or
+    multiplying by +-k, any pivot rows changes no kernel vector of
+    _kernel_vector and no verdict of _spans_agree."""
+
+    def test_random_rows(self):
+        checked = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            width = rng.randint(1, 8)
+            pivots = _echelon(_random_rows(rng, rng.randint(1, 10), width))
+            free = [c for c in range(width) if c not in pivots]
+            for _ in range(3):
+                rescaled = _rescaled(pivots, rng)
+                for c in free:
+                    assert _kernel_vector(c, rescaled) == _kernel_vector(c, pivots), seed
+                    checked += 1
+        assert checked > 1000
+
+    def test_oracle_blocks_and_span_checks(self, monkeypatch):
+        """kernel_oracle(d) for d <= 20 rescales the pivot rows of each of
+        its blocks and still gives every kernel vector; _spans_agree keeps
+        its verdict on the true kernel and on one with a vector dropped."""
+        echelon = pde._echelon
+        rng = random.Random(0)
+        oracles = [kernel_oracle(d) for d in range(21)]
+
+        def cases(oracle, basis):
+            dropped = oracle._replace(kernel_basis=oracle.kernel_basis[1:])
+            return _spans_agree(oracle, basis), _spans_agree(dropped, basis)
+
+        verdicts = [cases(oracles[d], solution_basis(d)) for d in range(21)]
+        assert verdicts == [(True, False)] * 21
+        monkeypatch.setattr(pde, "_echelon", lambda rows: _rescaled(echelon(rows), rng))
+        for d in range(21):
+            assert kernel_oracle(d) == oracles[d], d
+            assert cases(oracles[d], solution_basis(d)) == verdicts[d], d
