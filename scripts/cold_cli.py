@@ -7,7 +7,7 @@ run(), and reads each child's CPU time (user plus system) through
 resource.RUSAGE_CHILDREN.  The same interpreter with the same flags
 running `pass` is timed in every round too.  A command's package CPU is
 the minimum over --runs rounds of its child's CPU, minus the minimum of
-the `pass` child's: the import, the parser build and the call, but not
+the `pass` child's: the import, reading argv and the call, but not
 the interpreter's own start.  Every child runs under -I; --no-site adds
 -S, so that modules a site imports (one that loads certifi also loads
 typing, re, enum and random) count against the package.  One untimed round first

@@ -14,9 +14,9 @@ other exception, such as a failed self-check or ``MemoryError``), reported
 as one ``internal error:`` line on stderr.  A closed stdout does not
 change the exit code.
 
-``run`` reads argv with the named command's own parser, and with the
-whole parser only when arguments are left over or argv names no command,
-so help, usage errors and their exit codes are argparse's as before.
+``run`` reads argv in one pass over ``_COMMANDS``, a table of the nine
+commands, from which the help (exit 0) and each usage error (exit 2) are
+printed.
 ``--json`` documents are written by a private writer that gives the bytes
 of ``json.dumps(document, indent=2)``, with one join per list or dict and
 the C quoter of ``json.encoder``, read from ``_json`` without loading json.
@@ -24,10 +24,10 @@ the C quoter of ``json.encoder``, read from ``_json`` without loading json.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 try:
     from _json import encode_basestring_ascii as _quote
@@ -277,59 +277,70 @@ def _cmd_random(args) -> tuple[int, dict, list[str]]:
     return 0, payload, [f"p: {payload['p']}", *lines]
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first ``run`` and then reused."""
-    parser = argparse.ArgumentParser(
-        prog="nagata",
-        description="Exact analysis of Nagata-type polynomial maps of Q[x,y,z].",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command: its positionals (a bracketed one optional, a degree an
+# integer); its integer options and their defaults; its help.  All take --json.
+_COMMANDS = {
+    "analyze": ("phi", {}, "residual, automorphy, inverse, classification and exponent"),
+    "invert": ("p", {}, "explicit inverse of the map built from p(t1, t2)"),
+    "compose": ("outer inner", {}, "compose two endomorphisms (outer after inner)"),
+    "classify": ("phi", {}, "wild / tame verdict, with its evidence"),
+    "basis": ("degree", {}, f"closed-form kernel basis in one degree, 0 to {DEGREE_BOUND}"),
+    "oracle": ("degree", {}, "exact kernel of the residual map, checked against the basis"),
+    "loj": ("p [p_s]", {}, "Lojasiewicz exponent at infinity; with p_s, of a deformation"),
+    "decompose": ("phi", {}, "recover p with phi = p(x*z + y^2, z), if it exists"),
+    "random": ("", {"dvmax": 6, "seed": 0}, f"analyze a seeded random p (dvmax <= {DVMAX_BOUND})"),
+}
 
-    s = sub.add_parser("analyze", help="residual, Jacobian determinant, automorphy, "
-                                       "representative, classification, exponent")
-    s.add_argument("phi", help="polynomial in x, y, z, e.g. 'x*z + y^2'")
 
-    s = sub.add_parser("invert", help="explicit inverse of the map built from p(t1, t2)")
-    s.add_argument("p", help="polynomial in t1, t2")
+def _usage(command: str | None = None, error: str | None = None) -> int:
+    """Print the help on stdout and return 0, or, given an error, the usage
+    of command and the error on stderr and return 2."""
+    usage = {name: " ".join([name, *spec.split(), *(f"[--{o} N]" for o in opts), "[--json]"])
+             for name, (spec, opts, _) in _COMMANDS.items()}
+    if error is not None:
+        sys.stderr.write(f"usage: nagata {usage.get(command, 'COMMAND ...')}\nerror: {error}\n")
+        return 2
+    print("usage: nagata COMMAND ...\n\nExact analysis of Nagata-type maps of Q[x,y,z].\n",
+          *(f"  nagata {usage[name]}\n      {row[2]}" for name, row in _COMMANDS.items()),
+          '\nAfter --, every argument is a positional: nagata analyze -- "-y^2"', sep="\n")
+    return 0
 
-    s = sub.add_parser("compose", help="compose two endomorphisms (outer after inner)")
-    s.add_argument("outer", help="three comma-separated polynomials in x, y, z")
-    s.add_argument("inner", help="three comma-separated polynomials in x, y, z")
 
-    s = sub.add_parser("classify", help="NotAutomorphism / WildAutomorphism / "
-                                        "TameAutomorphism / AutomorphismTamenessUnknown")
-    s.add_argument("phi")
-
-    s = sub.add_parser("basis", help="closed-form basis of homogeneous solutions "
-                                     "of the residual equation in one degree")
-    s.add_argument("degree", type=int, help=f"0 to {DEGREE_BOUND}")
-
-    s = sub.add_parser("oracle", help="exact kernel of the residual map in one degree, "
-                                      "plus a span check against the closed-form basis")
-    s.add_argument("degree", type=int, help=f"0 to {DEGREE_BOUND}")
-
-    s = sub.add_parser("loj", help="Lojasiewicz exponent at infinity; with a second "
-                                   "argument, compare against a deformation")
-    s.add_argument("p", help="polynomial in t1, t2")
-    s.add_argument("p_s", nargs="?", default=None,
-                   help="deformation with supp(p) contained in supp(p_s)")
-
-    s = sub.add_parser("decompose", help="recover p with phi = p(x*z + y^2, z), if it exists")
-    s.add_argument("phi")
-
-    s = sub.add_parser("random", help="reproducible random p and its full analysis")
-    s.add_argument("--dvmax", type=int, default=6,
-                   help="bound on the (2,1)-weighted degree of p, "
-                        f"0 to {DVMAX_BOUND} (default 6)")
-    s.add_argument("--seed", type=int, default=0)
-
-    for s in sub.choices.values():
-        s.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON on stdout")
-    # the command parsers by name, for run's direct dispatch
-    parser.commands = sub.choices
-    return parser
+def _arguments(argv: list[str]) -> SimpleNamespace | int:
+    """The namespace that the command's handler reads, or the exit code of
+    the help or the usage error printed in its place."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        return _usage() if command in ("-h", "--help") else _usage(
+            None, f"unknown command {command!r}" if argv else "no command given")
+    spec, options, _ = _COMMANDS[command]
+    names, values = spec.split(), []
+    args = {"command": command, "json": False, **options}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            values += tokens
+        elif token in ("-h", "--help"):
+            return _usage()
+        elif token == "--json":
+            args["json"] = True
+        elif token[:2] == "--" and token[2:] in options:
+            args[token[2:]] = next(tokens, "")
+        # argparse's rule, kept for now: "-y^2" is an unknown option, while
+        # "-", "-3", "-.5" and "-x - y" are positionals
+        elif (token.startswith("-") and token != "-" and " " not in token
+              and not re.match(r"^-\d+$|^-\d*\.\d+$", token)):
+            return _usage(command, f"unknown option {token!r}")
+        else:
+            values.append(token)
+    if not len(names) - spec.count("[") <= len(values) <= len(names):
+        return _usage(command, f"{command} does not take {len(values)} arguments")
+    args.update(zip([name.strip("[]") for name in names], values + [None] * len(names)))
+    try:
+        args.update((name, int(args[name])) for name in ("degree", *options) if name in args)
+    except ValueError as exc:  # it names the text that is not an integer
+        return _usage(command, str(exc))
+    return SimpleNamespace(**args)
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -370,24 +381,12 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
+    args = _arguments(sys.argv[1:] if argv is None else list(argv))
+    if isinstance(args, int):  # the help or a usage error, already printed
+        return args
     try:
-        # the command parser is the one the whole parser hands the rest of
-        # argv to, so it gives the same namespace and errors; what it leaves
-        # over, the whole parser reports with its own usage
-        if command is not None:
-            args, extras = command.parse_known_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-        if command is None or extras:
-            args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse has already printed the message
-        # it exits only through ArgumentParser.exit: 0 for -h, 2 on a usage error
-        return exc.code
-    try:
-        # the handler is looked up by name at call time, not held by the
-        # cached parser, so a replaced _cmd_* function is the one that runs
+        # the handler is looked up by name at call time, so a replaced
+        # _cmd_* function is the one that runs
         code, payload, lines = globals()[f"_cmd_{args.command}"](args)
     except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)

@@ -155,3 +155,25 @@ def test_mutation_sample_prints_the_source_it_sampled(tmp_path, monkeypatch, cap
     assert len(ran) == 5
     assert printed[:5] == [f"killed   {m.describe(source)}" for m in ran]
     assert [m.describe(edited) for m in ran] != [m.describe(source) for m in ran]
+
+
+def test_mutation_sample_runs_the_suite_without_test_scripts(tmp_path, monkeypatch):
+    """test_scripts.py reads src/nagata's text, so it would fail on every
+    mutant; the sampler's pytest runs leave it out."""
+    sample = _mutation_sample()
+    path = Path("src", "nagata", "lojasiewicz.py")
+    (tmp_path / path).parent.mkdir(parents=True)
+    (tmp_path / path).write_text((ROOT / path).read_text())
+    commands = []
+
+    def run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 1)
+
+    monkeypatch.setattr(sample, "ROOT", tmp_path)
+    monkeypatch.setattr(sample.subprocess, "run", run)
+    assert sample.main(["--seed", "3", "--count", "2", "lojasiewicz"]) == 0
+    assert len(commands) == 2
+    for cmd in commands:
+        assert cmd[1:] == ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           "tests", "--ignore=tests/test_scripts.py"]
