@@ -9,9 +9,11 @@ running `pass` is timed in every round too.  A command's package CPU is
 the minimum over --runs rounds of its child's CPU, minus the minimum of
 the `pass` child's: the import, reading argv and the call, but not
 the interpreter's own start.  Every child runs under -I; --no-site adds
--S, so that modules a site imports (one that loads certifi also loads
-typing, re, enum and random) count against the package.  One untimed round first
-writes the byte code, as a first call would.
+-S, so that modules a site imports count against the package.  A site
+that loads certifi preloads re and the enum it imports, which the
+package imports too, random, which the `random` command imports, and
+typing, which no call imports.  One untimed round first writes the
+byte code, as a first call would.
 
 Run:  python scripts/cold_cli.py --runs 31 [--no-site]
 """

@@ -34,7 +34,7 @@ def main():
     for _ in range(args.count):
         p = random_poly2(rng, args.dvmax)
         start = time.process_time()
-        verdict = classify(expand_bivariate(p)).verdict.value
+        verdict = classify(expand_bivariate(p)).verdict
         exponent = loj_exponent(p).exponent
         seconds[verdict].append(time.process_time() - start)
         verdicts[verdict] += 1

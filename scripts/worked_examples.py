@@ -60,7 +60,7 @@ def main():
     print("residual =", pde_residual(PHI))
     p = decompose(PHI)
     print("representative p =", p)
-    print("classification =", classify(PHI).verdict.value)
+    print("classification =", classify(PHI).verdict)
     inverse = inverse_nagata(p)
     assert compose(nag.endo, inverse) == PolyEndo(X, Y, Z)
     print("inverse verified by composition; inverse f' =", inverse.f)
@@ -74,7 +74,7 @@ def main():
     section("Maps that are not automorphisms")
     for phi in (X, Y):
         print(f"phi = {phi}: residual = {pde_residual(phi)}, "
-              f"verdict = {classify(phi).verdict.value}")
+              f"verdict = {classify(phi).verdict}")
     endo = build_nagata(X).endo
     print("phi = x sends (0,0,1) ->", image(endo, 0, 0, 1),
           "and (-1,1,1) ->", image(endo, -1, 1, 1))
@@ -82,7 +82,7 @@ def main():
     section("Wild family phi = (x*z + y^2)^n")
     for n in range(1, 4):
         verdict = classify(expand_bivariate(T1 ** n))
-        print(f"n = {n}: {verdict.verdict.value}  "
+        print(f"n = {n}: {verdict.verdict}  "
               f"(d/dt1 of leading form = {verdict.leading_form_t1_derivative})")
 
     section("Weighted versus plain leading forms")
@@ -95,7 +95,7 @@ def main():
     print("leading form of expansion  =", phi.leading_form())
     print("expansion of p^v           =", expand_bivariate(p_v))
     print("expansion of pbar (differs)=", expand_bivariate(p_bar))
-    print("classification =", classify(phi).verdict.value,
+    print("classification =", classify(phi).verdict,
           " exponent =", loj_exponent(p).exponent)
 
     section("Solution space of -2y*phi_x + z*phi_y = 0, by degree")

@@ -15,8 +15,7 @@ Verdicts:
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import NamedTuple
+from collections import namedtuple
 
 from .maps import PolyEndo, build_nagata, compose, decompose, pde_residual
 from .poly import Poly, X, Y, Z
@@ -24,23 +23,22 @@ from .poly import Poly, X, Y, Z
 WEIGHTS = (2, 1)  # grading under which t1 matches x*z + y^2 and t2 matches z
 
 
-class Verdict(Enum):
+class Verdict:
+    """The four verdicts, each the string that schema 1 prints."""
+
     NOT_AUTOMORPHISM = "NotAutomorphism"
     WILD_AUTOMORPHISM = "WildAutomorphism"
     TAME_AUTOMORPHISM = "TameAutomorphism"
     AUTOMORPHISM_TAMENESS_UNKNOWN = "AutomorphismTamenessUnknown"
 
 
-class Classification(NamedTuple):
+class Classification(namedtuple(
+        "Classification", "verdict residual representative leading_form "
+        "leading_form_t1_derivative tame_factors", defaults=(None,) * 4)):
     """Verdict plus the evidence that justifies it.  ``residual`` is set
     for every verdict; it is zero exactly for the automorphisms."""
 
-    verdict: Verdict
-    residual: Poly
-    representative: Poly | None = None
-    leading_form: Poly | None = None
-    leading_form_t1_derivative: Poly | None = None
-    tame_factors: tuple[PolyEndo, PolyEndo] | None = None
+    __slots__ = ()
 
 
 def wild_by_leading_form(p: Poly) -> bool:

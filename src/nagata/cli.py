@@ -107,7 +107,7 @@ def _analysis_payload(phi: Poly) -> tuple[int, dict, list[str]]:
         "is_automorphism": is_auto,
         "representative": representative,
         "inverse": None,
-        "classification": verdict.verdict.value,
+        "classification": verdict.verdict,
         "evidence": _evidence_payload(verdict, residual, representative),
         "lojasiewicz_exponent": None,
     }
@@ -124,10 +124,10 @@ def _analysis_payload(phi: Poly) -> tuple[int, dict, list[str]]:
         payload["lojasiewicz_exponent"] = str(loj.exponent)
         lines.append(f"representative p: {representative}")
         lines.extend(_endo_lines("inverse", payload["inverse"]))
-        lines.append(f"classification: {verdict.verdict.value}")
+        lines.append(f"classification: {verdict.verdict}")
         lines.append(f"lojasiewicz exponent: {payload['lojasiewicz_exponent']}")
     else:
-        lines.append(f"classification: {verdict.verdict.value}")
+        lines.append(f"classification: {verdict.verdict}")
     return (0 if is_auto else 1), payload, lines
 
 
@@ -160,11 +160,11 @@ def _cmd_classify(args) -> tuple[int, dict, list[str]]:
     p = verdict.representative
     payload = {
         "phi": str(phi),
-        "verdict": verdict.verdict.value,
+        "verdict": verdict.verdict,
         "evidence": _evidence_payload(verdict, str(verdict.residual),
                                       None if p is None else str(p)),
     }
-    lines = [f"verdict: {verdict.verdict.value}"]
+    lines = [f"verdict: {verdict.verdict}"]
     for key, value in payload["evidence"].items():
         if key == "tame_factors":
             for i, factor in enumerate(value, start=1):

@@ -8,24 +8,17 @@ closed form 2*deg(phi) + 1, with deg(0) taken as 0.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 from .maps import PolyEndo, inverse_nagata
 from .poly import Poly, RING2, _monomial_text
 
-if TYPE_CHECKING:
-    from fractions import Fraction
+# exponent is the Fraction 1/inverse_degree
+LojReport = namedtuple("LojReport", "phi_degree inverse_degree exponent")
 
 
-class LojReport(NamedTuple):
-    phi_degree: int
-    inverse_degree: int
-    exponent: Fraction
-
-
-class DeformationReport(NamedTuple):
-    base: LojReport
-    deformed: LojReport
+class DeformationReport(namedtuple("DeformationReport", "base deformed")):
+    __slots__ = ()
 
     @property
     def ordering(self) -> str:

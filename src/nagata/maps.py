@@ -37,18 +37,12 @@ polynomial.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .poly import Poly, RING2, RING3, X, Y, Z, expand_bivariate
 
 
-class _Components(NamedTuple):
-    f: Poly
-    g: Poly
-    h: Poly
-
-
-class PolyEndo(_Components):
+class PolyEndo(namedtuple("_Components", "f g h")):
     """An endomorphism of Q[x,y,z]: the triple (f, g, h) of the images of
     x, y, z, each in Q[x,y,z].  ``phi`` is not a constructor argument: only
     ``build_nagata`` and ``inverse_nagata`` set it, for ``compose``, which
@@ -70,26 +64,21 @@ class PolyEndo(_Components):
         raise AttributeError(f"PolyEndo is immutable; cannot set {name!r}")
 
 
-class NagataMap(NamedTuple):
+class NagataMap(namedtuple("NagataMap", "phi endo")):
     """A polynomial phi together with its map."""
 
-    phi: Poly
-    endo: PolyEndo
+    __slots__ = ()
 
 
-class JacobianReport(NamedTuple):
-    matrix: tuple[tuple[Poly, ...], ...]
-    determinant: Poly
-    is_constant_nonzero: bool
+JacobianReport = namedtuple("JacobianReport", "matrix determinant is_constant_nonzero")
 
 
-class MilnorCertificate(NamedTuple):
+class MilnorCertificate(namedtuple("MilnorCertificate", "x_combination y_combination")):
     """Coefficient triples (A,B,C) and (A',B',C') with A*f + B*g + C*h = x
     and A'*f + B'*g + C'*h = y, proving <f,g,h> = <x,y,z> and hence that
     the map has Milnor number 1."""
 
-    x_combination: tuple[Poly, Poly, Poly]
-    y_combination: tuple[Poly, Poly, Poly]
+    __slots__ = ()
 
 
 def _require_ring3(phi: Poly) -> None:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .poly import Exponent, Poly, RING2, RING3, _sum
 
@@ -78,10 +78,8 @@ class UnknownIdentifierError(ParseError):
         self.identifier = identifier
 
 
-class _Token(NamedTuple):
-    kind: str  # "number", "ident", one of "+-*^()/", or "end"
-    text: str
-    position: int
+# kind is "number", "ident", one of "+-*^()/", or "end"
+_Token = namedtuple("_Token", "kind text position")
 
 
 # int() refuses more than 4300 digits (sys.get_int_max_str_digits), and
@@ -92,14 +90,15 @@ _MAX_DIGITS = 1000
 # accepts characters such as "²" that int() cannot read), an alphanumeric
 # run, or an operator.  \s is str.isspace and [^\W_] is str.isalnum, so
 # a match that takes no token stops at the end or at a character that
-# starts none.
-_TOKEN = re.compile(r"\s*(?:([0-9]+)|([^\W_]+)|([-+*^()/]))?")
+# starts none.  re's cache compiles it on the first _tokenize, which
+# canonical input never reaches.
+_TOKEN = r"\s*(?:([0-9]+)|([^\W_]+)|([-+*^()/]))?"
 
 # Canonical text in the names of either ring (read_canonical checks the
 # ring), with numerals capped at _MAX_DIGITS digits and exponents at 9 so
 # that no check of the parser can fire on it; see the module docstring.
-# These two patterns are compiled by re's cache on the first parse, so a
-# command that parses nothing does not pay the 0.5-0.7 ms.
+# These two patterns, like _TOKEN, are compiled by re's cache on first
+# use, so a command that parses nothing does not pay the 0.5-0.7 ms.
 _NUMERAL = rf"[0-9]{{1,{_MAX_DIGITS}}}"
 _FACTOR = r"(?:[xyz]|t[12])(?:\^[0-9]{1,9})?"
 _TERM = rf"(?:{_NUMERAL}(?:/{_NUMERAL})?|{_FACTOR})(?:\*{_FACTOR})*"
@@ -112,7 +111,7 @@ _SIGNED_TERM = r"\s*([-+]?)\s*(?=[0-9xyzt])([0-9]*)(?:/([0-9]+))?\*?([^\s+-]*)"
 def _tokenize(text: str, offset: int) -> list[_Token]:
     """Tokens of text, whose positions are 1-based and shifted by offset."""
     tokens: list[_Token] = []
-    for match in _TOKEN.finditer(text):
+    for match in re.finditer(_TOKEN, text):
         group = match.lastindex
         if group is None:
             end = match.end()

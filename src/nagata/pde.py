@@ -29,15 +29,15 @@ without bound (the dense rows of ``oracle 100 --json`` fill about 3 MB).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable
-from typing import NamedTuple
 
-from .poly import Exponent, Poly, RING2, expand_bivariate
+from .poly import Poly, RING2, expand_bivariate
 
 DEGREE_BOUND = 100
 
 
-class KernelOracleResult(NamedTuple):
+class KernelOracleResult(namedtuple("KernelOracleResult", "monomials kernel_basis")):
     """Exact kernel of the residual map on homogeneous polynomials of the
     degree passed to ``kernel_oracle``; the degree itself is not stored.
 
@@ -47,8 +47,7 @@ class KernelOracleResult(NamedTuple):
     strictly ascending; the values are coprime and the first is positive.
     """
 
-    monomials: tuple[Exponent, ...]
-    kernel_basis: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ()
 
 
 def _check_degree(d: int) -> None:

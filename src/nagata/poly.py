@@ -57,13 +57,14 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator, Mapping, Sequence
-from typing import TYPE_CHECKING, Union
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, which type checkers read by name
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    Scalar = int | Fraction
+
 Exponent = tuple[int, ...]
-Scalar = Union[int, "Fraction"]
 
 RING3 = ("x", "y", "z")
 RING2 = ("t1", "t2")

@@ -10,9 +10,7 @@ uniformly, so the result is never zero.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from .poly import Poly, RING2
+from .poly import Poly, RING2, TYPE_CHECKING
 
 if TYPE_CHECKING:
     import random

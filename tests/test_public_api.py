@@ -1,6 +1,7 @@
 """The package's public surface: ``nagata.__all__`` and what it binds."""
 
 import importlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -63,13 +64,15 @@ def test_removed_names_are_absent(name):
     (nagata.Poly, "coefficient"),
     (nagata.Poly, "homogeneous_components"),
     (nagata.kernel_oracle(0), "degree"),
-    # a NamedTuple field is a class attribute, so the class pins it too
+    # a namedtuple field is a class attribute, so the class pins it too
     (nagata.KernelOracleResult, "degree"),
     (nagata.Poly, "evaluate"),
     (nagata.PolyEndo, "evaluate"),
     (nagata.PolyEndo, "identity"),
     (nagata.KernelOracleResult, "polynomials"),
     (nagata.KernelOracleResult, "dimension"),
+    # a verdict is the schema-1 string itself, no longer an Enum member
+    (nagata.Verdict.WILD_AUTOMORPHISM, "value"),
 ])
 def test_removed_members_are_absent(owner, name):
     assert not hasattr(owner, name)
@@ -87,6 +90,40 @@ def test_records_are_named_tuples(name):
     assert record._fields
 
 
+@pytest.mark.parametrize("name", ["Classification", "KernelOracleResult",
+                                  "MilnorCertificate", "NagataMap", "PolyEndo"])
+def test_documented_records_keep_their_docstrings(name):
+    doc = getattr(nagata, name).__doc__
+    # not namedtuple's generated "Name(field, ...)" text
+    assert doc and not re.match(r"\w+\(", doc)
+
+
+def test_classification_defaults_its_evidence_to_none():
+    verdict = nagata.Verdict.NOT_AUTOMORPHISM
+    record = nagata.Classification(verdict, nagata.X)
+    assert record == (verdict, nagata.X, None, None, None, None)
+    assert record.tame_factors is None
+
+
+def test_deformation_report_orders_its_exponents():
+    report = nagata.deformation_compare(nagata.T1, nagata.T1 + nagata.T1 ** 2)
+    assert (report.ordering, report.monotone) == ("<", True)
+    report = nagata.deformation_compare(nagata.T1, nagata.T1 + nagata.T2)
+    assert (report.ordering, report.monotone) == ("=", True)
+    rising = nagata.DeformationReport(report.base, nagata.LojReport(0, 1, Fraction(1)))
+    assert (rising.ordering, rising.monotone) == ("<", False)
+
+
+def test_verdicts_are_the_schema_strings():
+    verdict = nagata.Verdict
+    assert [verdict.NOT_AUTOMORPHISM, verdict.WILD_AUTOMORPHISM, verdict.TAME_AUTOMORPHISM,
+            verdict.AUTOMORPHISM_TAMENESS_UNKNOWN] == [
+        "NotAutomorphism", "WildAutomorphism", "TameAutomorphism",
+        "AutomorphismTamenessUnknown"]
+    phi = nagata.X * nagata.Z + nagata.Y ** 2
+    assert nagata.classify(phi).verdict is verdict.WILD_AUTOMORPHISM
+
+
 def test_records_unpack_and_compare_as_tuples():
     phi = nagata.X * nagata.Z + nagata.Y ** 2
     nagata_map = nagata.build_nagata(phi)
@@ -94,15 +131,17 @@ def test_records_unpack_and_compare_as_tuples():
     assert nagata.loj_exponent(nagata.T1) == (2, 5, Fraction(1, 5))
 
 
-# Run in a child under -S: a site that imports random or re would hide
-# them.  The commands run in-process after the import, none of them one that
-# computes an exponent, so none of them needs a Fraction.
+# Run in a child under -S: a site that imports random, re or typing would
+# hide them.  enum cannot be checked yet: re imports it, and nagata.cli
+# imports re (ROADMAP item 22, second half).  The commands run in-process
+# after the import, none of them one that computes an exponent, so none of
+# them needs a Fraction.
 CLI_IMPORT_CHILD = """
 import io, sys
 sys.path.insert(0, sys.argv[1])
 import nagata.cli
 ABSENT = {"dataclasses", "inspect", "json", "fractions", "decimal", "random",
-          "argparse", "gettext"}
+          "argparse", "gettext", "typing"}
 print(sorted(ABSENT & set(sys.modules)))
 for argv in (["oracle", "5", "--json"], ["basis", "4"],
              ["invert", "t1^2 + 1/2*t2", "--json"],
@@ -121,8 +160,9 @@ def test_cli_import_loads_only_what_every_call_needs():
     import stays clear of dataclasses and the inspect module it pulls in,
     of json, whose quoter is read from _json, of fractions and the decimal
     it loads, of random, and of argparse and the gettext it loads, since
-    run reads argv itself; and a command that makes no Fraction loads none
-    of them after the import either."""
+    run reads argv itself, and of typing, since the records are
+    collections.namedtuple classes; and a command that makes no Fraction
+    loads none of them after the import either."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run([sys.executable, "-I", "-S", "-c", CLI_IMPORT_CHILD, src],
                             capture_output=True, text=True, timeout=60)
